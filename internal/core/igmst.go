@@ -40,12 +40,14 @@ type Options struct {
 	// (after Kahng & Robins); typical instances converge in ≤ 3 rounds.
 	Batched bool
 	// Workers bounds the fan-out of each candidate-scan round: candidates
-	// are sharded over this many goroutines, each evaluating H against its
-	// own fork of the (frozen) shortest-paths cache. 0 selects the default
-	// (GOMAXPROCS capped at 8); 1 or any negative value selects the inline
-	// sequential scan, kept as the regression oracle. Results are
-	// bit-identical at every setting: evaluations are reduced in pool order
-	// with the sequential tie-break.
+	// are sharded over this many shards, each evaluating H against its own
+	// fork of the (frozen) shortest-paths cache — the first on the calling
+	// goroutine, the rest on goroutines of their own — and the net's
+	// terminal shortest-path trees are computed over the same shards before
+	// the first H call. 0 selects the default (GOMAXPROCS capped at 8); 1
+	// or any negative value selects the inline sequential scan, kept as the
+	// regression oracle. Results are bit-identical at every setting:
+	// evaluations are reduced in pool order with the sequential tie-break.
 	Workers int
 	// Lazy enables the lazy-greedy ("CELF"-style) candidate scan: each
 	// candidate's last-known gain is kept as a stale priority, and a round
@@ -98,10 +100,12 @@ type Stats struct {
 	// achieved scan parallelism (1.0 on a single hardware thread).
 	ScanWall time.Duration
 	ScanCPU  time.Duration
-	// WorkerSSSPRuns and WorkerHeapPushes count Dijkstra work performed
-	// inside worker forks during parallel scans. It bypasses the caller's
-	// scratch, whose counter deltas the router feeds to its stats layer, so
-	// the router adds these separately.
+	// WorkerSSSPRuns and WorkerHeapPushes count Dijkstra work performed on
+	// pooled worker forks, in parallel scans and in the terminal prefetch.
+	// It bypasses the caller's scratch, whose counter deltas the router and
+	// the pathfinder feed to their stats layer, so they add these
+	// separately. Fork 0 runs on the caller's scratch and is not included,
+	// so every run is counted exactly once.
 	WorkerSSSPRuns   int64
 	WorkerHeapPushes int64
 }
@@ -117,14 +121,26 @@ func IGMST(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts 
 // IGMSTStats is IGMST returning work statistics.
 func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, opts Options) (graph.Tree, Stats, error) {
 	var st Stats
+	// A Steiner point can never improve a single shortest path (by the
+	// triangle inequality), so nets of two pins skip the candidate scan
+	// entirely and need no scanner.
+	var sc *scanner
+	if len(net) > 2 {
+		// The scanner owns the per-worker forks of the cache (sequential
+		// when Workers resolves to 1). Between scans the cache is mutated
+		// freely — admissions cache new established trees — because the
+		// forks are only ever read inside scan, never concurrently with an
+		// admission.
+		sc = newScanner(cache, H, opts)
+		defer sc.close()
+		sc.prefetch(&st, net)
+	}
 	best, err := H(cache, net)
 	if err != nil {
 		return graph.Tree{}, st, err
 	}
 	st.Evaluations++
-	if len(net) <= 2 {
-		// A Steiner point can never improve a single shortest path (by the
-		// triangle inequality), so skip the candidate scan entirely.
+	if sc == nil {
 		return best, st, nil
 	}
 	// Force-cache shortest-path trees for every established node. With all
@@ -142,12 +158,6 @@ func IGMSTStats(cache *graph.SPTCache, net []graph.NodeID, H steiner.Heuristic, 
 	}
 	pool := candidatePool(cache.Graph(), opts.Candidates)
 	spanned := append([]graph.NodeID(nil), net...) // N ∪ S
-	// The scanner owns the per-worker forks of the cache (sequential when
-	// Workers resolves to 1). Between scans the cache is mutated freely —
-	// admissions cache new established trees — because the forks are only
-	// ever read inside scan, never concurrently with an admission.
-	sc := newScanner(cache, H, opts)
-	defer sc.close()
 	// The lazy queue (nil when off) decides per round which candidates are
 	// worth re-evaluating; exhaustive rounds go through sc.scan unchanged.
 	// Both return evaluations in pool order, so the selection fold below is
@@ -277,11 +287,10 @@ func candidatePool(g *graph.Graph, pool []graph.NodeID) []graph.NodeID {
 	return all
 }
 
-// sortCands is a tiny insertion-free sort wrapper kept local to avoid
-// importing sort with a closure adapter at every call site.
+// sortCands is a plain insertion sort: candidate lists are short (only the
+// improving candidates of one round), and it is stable, so the caller's
+// full (gain, node) order alone decides the result.
 func sortCands[T any](s []T, less func(a, b T) bool) {
-	// Simple binary-insertion sort: candidate lists are short (only the
-	// improving candidates of one round).
 	for i := 1; i < len(s); i++ {
 		j := i
 		for j > 0 && less(s[j], s[j-1]) {

@@ -31,9 +31,11 @@ const (
 	// SSSPExpand fires at the start of every Dijkstra execution
 	// (graph.dijkstraWith). Panic/Delay only.
 	SSSPExpand = "graph/sssp-expand"
-	// ScanWorker fires before each candidate evaluation inside a parallel
-	// candidate-scan worker goroutine (core/scan.go). Panic/Delay only; a
-	// panic here exercises the worker→caller panic funnel.
+	// ScanWorker fires before each candidate evaluation of a parallel
+	// candidate scan and before each terminal search of its prefetch, on
+	// every shard — shard 0 on the caller's goroutine included
+	// (core/scan.go). Panic/Delay only; a panic here exercises the
+	// shard→caller panic funnel.
 	ScanWorker = "core/scan-worker"
 	// PassBoundary fires at the top of every rip-up/re-route pass
 	// (router.routeOnFabric). All actions; an injected error surfaces from

@@ -1,6 +1,10 @@
 package graph
 
-import "fpgarouter/internal/faultpoint"
+import (
+	"maps"
+
+	"fpgarouter/internal/faultpoint"
+)
 
 // SPT is a single-source shortest-paths tree produced by Dijkstra.
 //
@@ -240,7 +244,13 @@ type SPTCache struct {
 	// constructions sorting by weight see the same effective costs the
 	// searches did. The overlay must stay quiescent while the cache is live.
 	overlay *Overlay
-	// Runs counts actual Dijkstra executions, exposed for ablation benches.
+	// staged holds trees adopted from forks (Adopt) that no Tree call has
+	// claimed yet. Lookups do not see them, so which roots count as cached
+	// — and hence which endpoint's tree the symmetric Dist and Path read —
+	// evolves exactly as if the trees were computed on demand.
+	staged map[NodeID]*SPT
+	// Runs counts the trees this cache computed or claimed from staged,
+	// exposed for ablation benches.
 	Runs int
 }
 
@@ -333,8 +343,28 @@ func (c *SPTCache) Release() {
 		for _, t := range c.trees {
 			c.scratch.RecycleSPT(t)
 		}
+		for _, t := range c.staged {
+			c.scratch.RecycleSPT(t)
+		}
 	}
 	clear(c.trees)
+	clear(c.staged)
+}
+
+// Adopt moves every tree fork f computed privately into c, the cache f was
+// forked from, so trees computed ahead of need on other goroutines serve
+// c's later Tree calls without a second search. Adopted trees stay hidden
+// from lookups until Tree asks for their root, so c answers every query
+// bit-identically to a cache that computed them on demand. The trees'
+// buffers now belong to c and recycle into c's scratch on Release; f keeps
+// none. Adopt only roots c does not hold yet, and only while neither cache
+// is in use elsewhere.
+func (c *SPTCache) Adopt(f *SPTCache) {
+	if c.staged == nil {
+		c.staged = make(map[NodeID]*SPT, len(f.trees))
+	}
+	maps.Copy(c.staged, f.trees)
+	clear(f.trees)
 }
 
 // EdgeSet returns the scratch's edge set, emptied and sized for the graph.
@@ -349,6 +379,12 @@ func (c *SPTCache) NodeSet() NodeSet { return c.Scratch().NodeSet(c.g.NumNodes()
 // use (into the fork's private map when the cache is a fork).
 func (c *SPTCache) Tree(src NodeID) *SPT {
 	if t, ok := c.lookup(src); ok {
+		return t
+	}
+	if t, ok := c.staged[src]; ok {
+		delete(c.staged, src)
+		c.trees[src] = t
+		c.Runs++
 		return t
 	}
 	var t *SPT
@@ -393,13 +429,32 @@ func (c *SPTCache) CachedTree(v NodeID) (*SPT, bool) {
 // path's orientation (u→v vs v→u) is unspecified; callers union undirected
 // edges.
 func (c *SPTCache) Path(u, v NodeID) []EdgeID {
+	t, to := c.pathTree(u, v)
+	return t.PathTo(to)
+}
+
+// AppendPath appends the edges of the path Path(u, v) returns to dst, in
+// unspecified order, without allocating a path of its own; it appends
+// nothing when u and v are disconnected. KMB unions its expanded paths
+// this way, once per candidate evaluation.
+func (c *SPTCache) AppendPath(dst []EdgeID, u, v NodeID) []EdgeID {
+	t, to := c.pathTree(u, v)
+	for x := to; t.ParentEdge[x] != None; x = t.ParentNode[x] {
+		dst = append(dst, t.ParentEdge[x])
+	}
+	return dst
+}
+
+// pathTree returns the tree a u–v path is read from and the node to walk
+// back from: u's tree when cached, else v's, else u's computed now.
+func (c *SPTCache) pathTree(u, v NodeID) (*SPT, NodeID) {
 	if t, ok := c.lookup(u); ok {
-		return t.PathTo(v)
+		return t, v
 	}
 	if t, ok := c.lookup(v); ok {
-		return t.PathTo(u)
+		return t, u
 	}
-	return c.Tree(u).PathTo(v)
+	return c.Tree(u), v
 }
 
 // EdgeWeight returns edge id's effective weight as seen by the cache's

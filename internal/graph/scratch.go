@@ -151,6 +151,21 @@ func (s *DijkstraScratch) RecycleSPT(t *SPT) {
 	}
 }
 
+// TransferSPTs moves up to n recycled trees from s's free list to dst's.
+// A caller that computes trees on dst for a cache backed by s (see
+// SPTCache.Adopt) stocks dst first, so the buffers that return to s on
+// Release are the ones s gave away and neither free list drifts.
+func (s *DijkstraScratch) TransferSPTs(dst *DijkstraScratch, n int) {
+	k := max(len(s.free)-n, 0)
+	dst.free = append(dst.free, s.free[k:]...)
+	clear(s.free[k:])
+	s.free = s.free[:k]
+}
+
+// FreeSPTs reports the length of the scratch's recycled-tree free list.
+// Observability for the buffer-balance tests.
+func (s *DijkstraScratch) FreeSPTs() int { return len(s.free) }
+
 // EdgeSet is an O(1)-reset membership set over edge IDs, backed by its
 // scratch's epoch-stamped array. At most one EdgeSet per scratch is live at
 // a time: acquiring a new one (DijkstraScratch.EdgeSet or SPTCache.EdgeSet)

@@ -120,47 +120,29 @@ func MaxPathlength(g *Graph, t Tree, src NodeID, sinks []NodeID) float64 {
 //
 // It is the hottest function of the iterated constructions (called once per
 // Steiner-candidate evaluation), so it works on compact pooled slices sized
-// by the edge set rather than maps or |V|-sized scratch: local node IDs come
-// from one sort of (endpoint, slot)-packed keys — numbering every endpoint
-// occurrence without any per-edge lookup — and incidence lives in one flat
-// prefix-summed array. The leaf-pruning fixpoint is confluent — it has a
-// unique result no matter the removal order — and the output preserves the
-// input edge order, so the numbering scheme is unobservable.
-func PruneTree(g *Graph, edges []EdgeID, keep []NodeID) Tree {
+// by the edge set rather than maps or |V|-sized scratch: local node IDs are
+// the dense slots of ns, a live NodeSet over g, and incidence lives in one
+// flat prefix-summed array. ns may arrive empty or already holding nodes —
+// KMB passes the set its local MST filled with exactly these endpoints, so
+// numbering costs one mark lookup per endpoint. PruneTree adds the edges'
+// endpoints it lacks and leaves ns live for the caller. The leaf-pruning
+// fixpoint is confluent — it has a unique result no matter the removal
+// order — and the output preserves the input edge order, so the numbering
+// is unobservable: the result is identical for any ns content.
+func PruneTree(g *Graph, edges []EdgeID, keep []NodeID, ns NodeSet) Tree {
 	if len(edges) == 0 {
 		return NewTree(g, edges)
 	}
 	m := len(edges)
 	s := prunePool.Get().(*pruneScratch)
 	defer prunePool.Put(s)
-	// Pack each endpoint occurrence as node<<32 | slot, where slot 2i / 2i+1
-	// is edge i's U / V side. One sort groups occurrences by node; walking
-	// the groups assigns dense local IDs (in ascending node order) and
-	// scatters them back through the slot — no map, no binary search.
-	keys := s.keys.take(2 * m)
-	for i, id := range edges {
-		keys[2*i] = uint64(uint32(g.eu[id]))<<32 | uint64(uint32(2*i))
-		keys[2*i+1] = uint64(uint32(g.ev[id]))<<32 | uint64(uint32(2*i+1))
-	}
-	slices.Sort(keys)
 	lu := s.lu.take(m)
 	lv := s.lv.take(m)
-	nodes := s.nodes.take(0)
-	prev := NodeID(-1)
-	n := int32(0)
-	for _, k := range keys {
-		if node := NodeID(uint32(k >> 32)); node != prev {
-			nodes = append(nodes, node)
-			prev = node
-			n++
-		}
-		if slot := uint32(k); slot&1 == 0 {
-			lu[slot>>1] = n - 1
-		} else {
-			lv[slot>>1] = n - 1
-		}
+	for i, id := range edges {
+		lu[i] = ns.Slot(g.eu[id])
+		lv[i] = ns.Slot(g.ev[id])
 	}
-	s.nodes = nodes
+	n := int32(ns.Len())
 	deg := s.deg.take(int(n))
 	clear(deg)
 	for i := range lu {
@@ -190,9 +172,8 @@ func PruneTree(g *Graph, edges []EdgeID, keep []NodeID) Tree {
 	keepSet := s.keep.take(int(n))
 	clear(keepSet)
 	for _, v := range keep {
-		// keep is tiny (the net's terminals); binary-search the node list.
-		if i, ok := slices.BinarySearch(nodes, v); ok {
-			keepSet[i] = true
+		if ns.Has(v) {
+			keepSet[ns.Slot(v)] = true
 		}
 	}
 	alive := s.alive.take(m)
@@ -243,7 +224,6 @@ type halfEdge struct {
 // call per Steiner-candidate evaluation, so the per-call allocations would
 // otherwise dominate the allocator profile.
 type pruneScratch struct {
-	keys  reuse[uint64]
 	lu    reuse[int32]
 	lv    reuse[int32]
 	deg   reuse[int32]
@@ -252,7 +232,6 @@ type pruneScratch struct {
 	queue reuse[int32]
 	keep  reuse[bool]
 	alive reuse[bool]
-	nodes reuse[NodeID]
 	half  []halfEdge
 }
 

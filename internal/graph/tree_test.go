@@ -92,7 +92,7 @@ func TestPruneTreeRemovesPendantChains(t *testing.T) {
 	e12 := g.AddEdge(1, 2, 1)
 	e23 := g.AddEdge(2, 3, 1)
 	e34 := g.AddEdge(3, 4, 1)
-	pruned := PruneTree(g, []EdgeID{e01, e12, e23, e34}, []NodeID{0, 1})
+	pruned := PruneTree(g, []EdgeID{e01, e12, e23, e34}, []NodeID{0, 1}, NewDijkstraScratch().NodeSet(g.NumNodes()))
 	if len(pruned.Edges) != 1 || pruned.Edges[0] != e01 {
 		t.Fatalf("pruned edges = %v", pruned.Edges)
 	}
@@ -107,7 +107,7 @@ func TestPruneTreeKeepsSteinerJunctions(t *testing.T) {
 	e01 := g.AddEdge(0, 1, 1)
 	e12 := g.AddEdge(1, 2, 1)
 	e13 := g.AddEdge(1, 3, 1)
-	pruned := PruneTree(g, []EdgeID{e01, e12, e13}, []NodeID{0, 2, 3})
+	pruned := PruneTree(g, []EdgeID{e01, e12, e13}, []NodeID{0, 2, 3}, NewDijkstraScratch().NodeSet(g.NumNodes()))
 	if len(pruned.Edges) != 3 {
 		t.Fatalf("junction wrongly pruned: %v", pruned.Edges)
 	}

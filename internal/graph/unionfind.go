@@ -9,11 +9,25 @@ type UnionFind struct {
 
 // NewUnionFind returns a union-find structure over n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	u := &UnionFind{parent: make([]int32, n), rank: make([]int8, n), sets: n}
+	u := new(UnionFind)
+	u.Reset(n)
+	return u
+}
+
+// Reset reinitializes u to n singleton sets, reusing its buffers when they
+// are large enough.
+func (u *UnionFind) Reset(n int) {
+	if cap(u.parent) < n {
+		u.parent = make([]int32, n)
+		u.rank = make([]int8, n)
+	}
+	u.parent = u.parent[:n]
+	u.rank = u.rank[:n]
 	for i := range u.parent {
 		u.parent[i] = int32(i)
 	}
-	return u
+	clear(u.rank)
+	u.sets = n
 }
 
 // Find returns the representative of x's set.

@@ -69,9 +69,11 @@ const maxWorkers = 8
 type Config struct {
 	// Algorithm selects the per-net construction (AlgIKMB default, AlgKMB).
 	Algorithm string
-	// Workers bounds the net-routing goroutines. 0 selects the default
-	// (GOMAXPROCS capped at 8); values below 1 force sequential routing.
-	// Results are bit-identical at every setting.
+	// Workers bounds the net-routing goroutines of the frozen-price
+	// iterations and the candidate-scan fan-out of the sequential passes
+	// (SeqBelow/SeqAfter and the polish pass), which route one net at a
+	// time. 0 selects the default (GOMAXPROCS capped at 8); values below 1
+	// force sequential routing. Results are bit-identical at every setting.
 	Workers int
 	// MaxIters is the iteration budget before giving up (default 96).
 	MaxIters int
@@ -669,7 +671,9 @@ func (e *engine) routeAll(list []int32, iter int, presFac float64) error {
 // tree's resources for the nets after it — exactly the sequential
 // PathFinder semantics the frozen-price iterations approximate. Jitter is
 // omitted: sequential updates cannot livelock on symmetric ties. Runs on
-// the caller's goroutine; a first error aborts at the lowest net index by
+// the caller's goroutine, which has every core to itself here, so each
+// net's IKMB construction fans its terminal searches and candidate scans
+// out over Config.Workers; a first error aborts at the lowest net index by
 // construction.
 func (e *engine) routeSeq(list []int32, presFac float64) error {
 	wk := e.acquireWorkers(1)[0]
@@ -725,7 +729,7 @@ func (e *engine) routeSeq(list []int32, presFac float64) error {
 			wk.ov.Unblock(v)
 		}
 		start := time.Now()
-		tree, err := e.construct(wk, terms, net.Pins)
+		tree, err := e.construct(wk, terms, net.Pins, e.cfg.Workers)
 		e.cfg.Stats.ObserveNet(time.Since(start), err == nil)
 		for _, v := range terms {
 			wk.ov.Block(v)
@@ -805,7 +809,10 @@ func (e *engine) routeNet(wk *worker, idx, iter int, presFac float64) (graph.Tre
 			// incremental fallback path when no fragment survived).
 			wk.ripped += int64(len(e.trees[idx].Edges))
 		}
-		tree, err = e.construct(wk, terms, net.Pins)
+		// Nets already fan out over the workers here, so each net's
+		// candidate scans stay inline: nested fan-out would only thrash
+		// the scheduler.
+		tree, err = e.construct(wk, terms, net.Pins, 1)
 	}
 	for _, id := range e.priced {
 		pr[id] = e.sharedPrice[id]
@@ -816,12 +823,14 @@ func (e *engine) routeNet(wk *worker, idx, iter int, presFac float64) (graph.Tre
 	return tree, err
 }
 
-// construct runs the per-net tree construction under the worker's overlay.
-// Goal-directed search is unconditional here: the pathfinder has no
-// bit-for-bit tie to the paper's Dijkstra reference (that binds only the
-// sequential oracle), and the fabric's coordinate bound stays admissible
-// under any non-negative pricing state.
-func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin) (graph.Tree, error) {
+// construct runs the per-net tree construction under the worker's overlay,
+// fanning IKMB's terminal searches and candidate scans out over
+// scanWorkers goroutines (core.Options.Workers: results are bit-identical
+// at every setting). Goal-directed search is unconditional here: the
+// pathfinder has no bit-for-bit tie to the paper's Dijkstra reference (that
+// binds only the sequential oracle), and the fabric's coordinate bound
+// stays admissible under any non-negative pricing state.
+func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, scanWorkers int) (graph.Tree, error) {
 	if len(terms) == 2 && terms[0] != terms[1] {
 		_, path, ok := e.g.BiDijkstraOverlay(wk.scratch, terms[0], terms[1], wk.ov)
 		if !ok {
@@ -844,17 +853,18 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin) (g
 	if e.cfg.Algorithm == AlgKMB {
 		return steiner.KMB(cache, terms)
 	}
-	// Candidate scans stay sequential inside each net: the parallelism
-	// budget belongs to the net level here, and nested fan-out would only
-	// thrash the scheduler.
 	tree, st, err := core.IGMSTStats(cache, terms, steiner.KMB, core.Options{
 		Candidates: pool,
 		Batched:    !e.cfg.SingleStep,
-		Workers:    1,
+		Workers:    scanWorkers,
 		Lazy:       e.cfg.Lazy,
 	})
 	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
 	e.cfg.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
+	e.cfg.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
+	// Pooled scan forks run Dijkstra on their own scratches, invisible to
+	// the worker scratch's deltas that releaseWorkers records.
+	e.cfg.Stats.AddSSSP(st.WorkerSSSPRuns, st.WorkerHeapPushes)
 	return tree, err
 }
 

@@ -153,3 +153,49 @@ func TestLazyScanWorkerInvarianceBusc(t *testing.T) {
 		}
 	}
 }
+
+// TestSSSPCountersWorkerInvariantBusc: the SSSP work counters count every
+// Dijkstra run exactly once however the scans fan out — runs on scan fork
+// 0 land on the routing context's scratch, runs on pooled forks and in the
+// terminal prefetch are forwarded by the construction — so a busc route
+// reports the same graph.sssp_runs and heap_pushes at one worker and at
+// four, sequentially and in negotiated mode (whose sequential passes now
+// fan their scans out over NetWorkers and forward the scan counters).
+func TestSSSPCountersWorkerInvariantBusc(t *testing.T) {
+	spec, ok := circuits.SpecByName("busc")
+	if !ok {
+		t.Fatal("busc spec missing")
+	}
+	ckt := synth(t, spec, 1)
+	run := func(opts Options) (*Result, stats.Snapshot) {
+		col := stats.New()
+		ctx := NewContext(col)
+		defer ctx.Close()
+		res, err := RouteCtx(ctx, ckt, 10, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, col.Snapshot()
+	}
+	for _, mode := range []struct {
+		name string
+		opts func(workers int) Options
+	}{
+		{"sequential", func(w int) Options { return Options{MaxPasses: 4, CandidateWorkers: w} }},
+		{"negotiated", func(w int) Options { return Options{Parallel: true, IncrementalReroute: true, NetWorkers: w} }},
+	} {
+		refRes, ref := run(mode.opts(1))
+		res, got := run(mode.opts(4))
+		if !reflect.DeepEqual(res, refRes) {
+			t.Fatalf("%s: Result at 4 workers diverges from 1 worker", mode.name)
+		}
+		if got.SSSPRuns != ref.SSSPRuns || got.HeapPushes != ref.HeapPushes {
+			t.Fatalf("%s: 4 workers counted %d SSSP runs / %d heap pushes, 1 worker %d / %d",
+				mode.name, got.SSSPRuns, got.HeapPushes, ref.SSSPRuns, ref.HeapPushes)
+		}
+		if ref.SSSPRuns == 0 || got.ParallelScans == 0 || got.ScanCPU == 0 {
+			t.Fatalf("%s: counters not forwarded: %d SSSP runs at 1 worker, %d parallel scans (cpu %v) at 4",
+				mode.name, ref.SSSPRuns, got.ParallelScans, got.ScanCPU)
+		}
+	}
+}

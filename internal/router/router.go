@@ -539,8 +539,10 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 		ctx.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
 		ctx.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 		ctx.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
-		// Worker forks run Dijkstra on their own scratch, invisible to the
-		// context scratch's counter deltas recorded by routeOnFabric.
+		// Pooled scan forks run Dijkstra on their own scratches, invisible
+		// to the context scratch's counter deltas recorded by
+		// routeOnFabric; fork 0 runs on the context scratch and is counted
+		// there.
 		ctx.Stats.AddSSSP(st.WorkerSSSPRuns, st.WorkerHeapPushes)
 	}
 	switch opts.Algorithm {

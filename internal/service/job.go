@@ -290,36 +290,41 @@ func (j *Job) begin() bool {
 	return true
 }
 
-// finish records the run's outcome, classifying cancellation (including
-// deadline expiry) separately from routing failure. An interrupted or
-// failed run that still produced a partial result keeps it, so GET
-// /jobs/{id}/result can serve the best-effort answer with complete=false.
+// outcome classifies a run's error into its terminal state: done on
+// success, canceled for cancellation (including deadline expiry), failed
+// otherwise.
+func outcome(err error) State {
+	switch {
+	case err == nil:
+		return StateDone
+	case errors.Is(err, router.ErrCanceled), errors.Is(err, context.Canceled),
+		errors.Is(err, context.DeadlineExceeded):
+		return StateCanceled
+	default:
+		return StateFailed
+	}
+}
+
+// finish records the run's outcome (see outcome), publishing the terminal
+// state to pollers. An interrupted or failed run that still produced a
+// partial result keeps it, so GET /jobs/{id}/result can serve the
+// best-effort answer with complete=false.
 func (j *Job) finish(width int, res *router.Result, err error, attempts int) State {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
 	j.attempts = attempts
-	switch {
-	case err == nil:
-		j.state = StateDone
-		j.outWidth = width
-		j.result = res
+	j.state = outcome(err)
+	j.result = res
+	j.outWidth = width
+	if j.state == StateDone {
 		j.complete = true
-	case errors.Is(err, router.ErrCanceled), errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
-		j.err = err.Error()
-		j.result = res
-		j.outWidth = width
-	default:
-		j.state = StateFailed
-		j.err = err.Error()
-		j.result = res
-		j.outWidth = width
-		var pe *PanicError
-		if errors.As(err, &pe) {
-			j.stack = string(pe.Stack)
-		}
+		return j.state
+	}
+	j.err = err.Error()
+	var pe *PanicError
+	if j.state == StateFailed && errors.As(err, &pe) {
+		j.stack = string(pe.Stack)
 	}
 	return j.state
 }

@@ -143,6 +143,37 @@ func TestIdempotentResubmission(t *testing.T) {
 	pollUntilTerminal(t, ts.URL, st3.ID, 2*time.Minute)
 }
 
+// TestResubmitAtDoneHitsCache: by the time a job reads done its result is
+// already in the store, so a resubmission made the instant done is
+// observed is answered from the cache rather than routed again.
+func TestResubmitAtDoneHitsCache(t *testing.T) {
+	svc, _, _ := durableHarness(t, t.TempDir(), Config{Workers: 1, QueueDepth: 4})
+	st, err := svc.Submit(&routeTerm1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, _ := svc.Job(st.ID)
+	deadline := time.Now().Add(2 * time.Minute)
+	// Poll far faster than the store's fsynced Put completes, so a done
+	// published ahead of the Put would be seen inside that window.
+	for state := job.StateNow(); state != StateDone; state = job.StateNow() {
+		if state != StateQueued && state != StateRunning {
+			t.Fatalf("job ended %s, want done", state)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 2m", state)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	dup, err := svc.Submit(&routeTerm1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dup.State != StateDone || !dup.CacheHit {
+		t.Fatalf("resubmission at done = %+v, want done with cache_hit", dup)
+	}
+}
+
 // TestRecoveryRequeuesInterruptedJob: a journal holding submitted+started
 // with no terminal record — a crash mid-route — re-enqueues the job on
 // recovery, and the re-run's result is bit-identical to a direct route.

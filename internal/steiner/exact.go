@@ -121,7 +121,7 @@ func Exact(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 	for id := range edgeSet {
 		edges = append(edges, id)
 	}
-	t := graph.PruneTree(g, edges, net)
+	t := graph.PruneTree(g, edges, net, cache.NodeSet())
 	return t, nil
 }
 

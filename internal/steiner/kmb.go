@@ -23,39 +23,45 @@ func KMB(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 	// net, computed matrix-free over cached shortest-path distances —
 	// this function is evaluated once per Steiner candidate inside IKMB,
 	// so it avoids materializing a graph object per call.
-	pairs, err := distanceMSTPairs(cache, net)
+	s := kernelPool.Get().(*kernelScratch)
+	defer kernelPool.Put(s)
+	pairs, err := distanceMSTPairs(cache, net, s)
 	if err != nil {
 		return graph.Tree{}, err
 	}
-	seen := cache.EdgeSet()
-	var pathEdges []graph.EdgeID
+	// Expanded paths may share edges; localMST deduplicates the union.
+	edges := s.edges[:0]
 	for _, pr := range pairs {
-		for _, ge := range cache.Path(net[pr[0]], net[pr[1]]) {
-			if seen.Add(ge) {
-				pathEdges = append(pathEdges, ge)
-			}
-		}
+		edges = cache.AppendPath(edges, net[pr[0]], net[pr[1]])
 	}
+	s.edges = edges
 	// Step 3: MST over the expanded subgraph, then prune pendant
-	// non-terminals. localMST re-acquires the edge set; seen is dead here.
-	mst2 := localMST(cache, pathEdges)
-	return graph.PruneTree(cache.Graph(), mst2, net), nil
+	// non-terminals.
+	return localMST(cache, s, edges, net), nil
 }
 
 // distanceMSTPairs runs Prim over the implicit complete distance graph on
 // net and returns the chosen (i, j) index pairs. Ties break toward the
-// earlier-reached node, deterministically.
-func distanceMSTPairs(cache *graph.SPTCache, net []graph.NodeID) ([][2]int32, error) {
+// earlier-reached node, deterministically. The pairs live in s and stay
+// valid until its next use.
+func distanceMSTPairs(cache *graph.SPTCache, net []graph.NodeID, s *kernelScratch) ([][2]int32, error) {
 	k := len(net)
-	inTree := make([]bool, k)
-	best := make([]float64, k)
-	bestFrom := make([]int32, k)
+	inTree := take(&s.inTree, k)
+	best := take(&s.best, k)
+	bestFrom := take(&s.bestFrom, k)
+	// trees[i] is net[i]'s cached tree (nil if none), resolved once here
+	// rather than by a cache lookup per pair; the only tree that can appear
+	// meanwhile is the one Dist computes below, which is recorded.
+	trees := take(&s.trees, k)
+	defer clear(trees)
 	for i := range best {
+		inTree[i] = false
 		best[i] = graph.Inf()
 		bestFrom[i] = -1
+		trees[i], _ = cache.CachedTree(net[i])
 	}
 	best[0] = 0
-	pairs := make([][2]int32, 0, k-1)
+	pairs := s.pairs[:0]
 	for iter := 0; iter < k; iter++ {
 		u := -1
 		for v := 0; v < k; v++ {
@@ -70,22 +76,22 @@ func distanceMSTPairs(cache *graph.SPTCache, net []graph.NodeID) ([][2]int32, er
 		if bestFrom[u] >= 0 {
 			pairs = append(pairs, [2]int32{bestFrom[u], int32(u)})
 		}
-		// Hoist the cache's per-call root lookup out of the inner loop: once
-		// u's tree exists, read its Dist slice directly. When it doesn't,
-		// fall through to Dist (which prefers whichever endpoint is cached —
-		// the fold-order of the sum matters for bit-reproducibility) and
-		// re-check, since that call may have computed and cached u's tree.
-		tu, uok := cache.CachedTree(net[u])
+		// Read distances the way cache.Dist does — from u's tree when it
+		// exists, else from v's, else by computing u's — since the fold
+		// order of the sum matters for bit-reproducibility.
 		for v := 0; v < k; v++ {
 			if inTree[v] {
 				continue
 			}
 			var d float64
-			if uok {
-				d = tu.Dist[net[v]]
-			} else {
-				d = cache.Dist(net[u], net[v])
-				tu, uok = cache.CachedTree(net[u])
+			switch {
+			case trees[u] != nil:
+				d = trees[u].Dist[net[v]]
+			case trees[v] != nil:
+				d = trees[v].Dist[net[u]]
+			default:
+				trees[u] = cache.Tree(net[u])
+				d = trees[u].Dist[net[v]]
 			}
 			if d < best[v] {
 				best[v] = d
@@ -93,5 +99,6 @@ func distanceMSTPairs(cache *graph.SPTCache, net []graph.NodeID) ([][2]int32, er
 			}
 		}
 	}
+	s.pairs = pairs
 	return pairs, nil
 }

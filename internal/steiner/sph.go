@@ -80,6 +80,7 @@ func SPH(cache *graph.SPTCache, net []graph.NodeID) (graph.Tree, error) {
 	// The union of spliced paths can touch a tree node twice under ties;
 	// finish with a local MST + prune exactly like KMB's steps 3–4.
 	// localMST re-acquires both pooled sets; inTree/edgeSet are dead here.
-	mst := localMST(cache, edges)
-	return graph.PruneTree(g, mst, net), nil
+	s := kernelPool.Get().(*kernelScratch)
+	defer kernelPool.Put(s)
+	return localMST(cache, s, edges, net), nil
 }

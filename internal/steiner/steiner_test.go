@@ -3,6 +3,7 @@ package steiner
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -264,7 +265,7 @@ func TestExactMatchesBruteForceOnTrees(t *testing.T) {
 		for i := range all {
 			all[i] = graph.EdgeID(i)
 		}
-		want := graph.PruneTree(g, all, net).Cost
+		want := graph.PruneTree(g, all, net, c.NodeSet()).Cost
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("trial %d: exact %v != pruned-tree %v", trial, got, want)
 		}
@@ -309,5 +310,39 @@ func TestQuickHeuristicBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSortWeightedMatchesStdlib: the Kruskal key sort orders by (weight,
+// ID) exactly like the standard library's sort, across sizes that exercise
+// the insertion-sort runs, the partitioning and the depth fallback, with
+// heavily tied weights.
+func TestSortWeightedMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(400)
+		s := make([]weightedEdge, n)
+		for i, id := range rng.Perm(n) {
+			s[i] = weightedEdge{float64(rng.Intn(1 + trial%7)), graph.EdgeID(id)}
+		}
+		if trial%5 == 0 {
+			slices.SortFunc(s, func(a, b weightedEdge) int { return int(b.id) - int(a.id) })
+		}
+		want := slices.Clone(s)
+		slices.SortFunc(want, func(a, b weightedEdge) int {
+			if a.less(b) {
+				return -1
+			}
+			return 1
+		})
+		got := slices.Clone(s)
+		if trial%3 == 0 {
+			quickWeighted(got, 1) // force the depth fallback early
+		} else {
+			sortWeighted(got)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): order differs from the standard sort", trial, n)
+		}
 	}
 }
