@@ -13,11 +13,12 @@ build:
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# Full check: build, vet, optional deep linters, and the test suite under
-# the race detector (the parallel minimum-width search makes -race
+# Full check: gofmt, build, vet, optional deep linters, and the test suite
+# under the race detector (the parallel minimum-width search makes -race
 # load-bearing). staticcheck and fieldalignment run only when installed —
 # the CI image may not ship them, and `make check` must work offline.
 check:
+	@test -z "$$(gofmt -l $$(git ls-files '*.go'))" || { echo "gofmt -l:"; gofmt -l $$(git ls-files '*.go'); exit 1; }
 	$(GO) build ./...
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \

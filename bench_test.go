@@ -476,7 +476,7 @@ func BenchmarkDijkstraStopSet(b *testing.B) {
 	})
 	b.Run("stopset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			g.DijkstraWithin(src, stop)
+			g.DijkstraWithinScratch(nil, src, stop)
 		}
 	})
 }

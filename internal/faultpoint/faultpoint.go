@@ -28,8 +28,9 @@ import (
 // point sits and which actions the site supports; sites without an error
 // return escalate an armed Error action to a panic (see Check).
 const (
-	// SSSPExpand fires at the start of every Dijkstra execution
-	// (graph.dijkstraWith). Panic/Delay only.
+	// SSSPExpand fires at the start of every shortest-path search (the
+	// graph package's seeded kernel and its bidirectional search).
+	// Panic/Delay only.
 	SSSPExpand = "graph/sssp-expand"
 	// ScanWorker fires before each candidate evaluation of a parallel
 	// candidate scan and before each terminal search of its prefetch, on

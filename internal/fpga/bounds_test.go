@@ -83,7 +83,7 @@ func TestBoundsAdmissibleUnderCongestion(t *testing.T) {
 			}
 			f.BeginNet([]Pin{pa, pb})
 			checkEdgeConsistency(t, f, "after BeginNet")
-			spt := f.Graph().DijkstraWithin(f.PinNode(pa), []graph.NodeID{f.PinNode(pb)})
+			spt := f.Graph().DijkstraWithinScratch(nil, f.PinNode(pa), []graph.NodeID{f.PinNode(pb)})
 			if !spt.Reachable(f.PinNode(pb)) {
 				continue
 			}
@@ -97,8 +97,8 @@ func TestBoundsAdmissibleUnderCongestion(t *testing.T) {
 		pa, pb := Pin{X: 0, Y: 0, Side: South, Index: 0}, Pin{X: 3, Y: 3, Side: North, Index: 1}
 		f.BeginNet([]Pin{pa, pb})
 		src, goal := f.PinNode(pa), f.PinNode(pb)
-		ref := f.Graph().DijkstraWithin(src, []graph.NodeID{goal})
-		ast := f.Graph().AStar(nil, src, goal, f.Bounds())
+		ref := f.Graph().DijkstraWithinScratch(nil, src, []graph.NodeID{goal})
+		ast := f.Graph().DijkstraWithinBounded(nil, src, []graph.NodeID{goal}, f.Bounds())
 		if ref.Dist[goal] != ast.Dist[goal] {
 			t.Fatalf("congested A* dist %v vs dijkstra %v", ast.Dist[goal], ref.Dist[goal])
 		}

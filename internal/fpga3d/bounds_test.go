@@ -58,7 +58,7 @@ func TestBounds3DAdmissible(t *testing.T) {
 	src := Pin3D{Layer: 0, Pin: fpga.Pin{X: 0, Y: 0, Side: fpga.North}}
 	dst := Pin3D{Layer: 2, Pin: fpga.Pin{X: 2, Y: 2, Side: fpga.South, Index: 1}}
 	f.BeginNet([]Pin3D{src, dst})
-	spt := g.DijkstraWithin(f.PinNode(src), []graph.NodeID{f.PinNode(dst)})
+	spt := g.DijkstraWithinScratch(nil, f.PinNode(src), []graph.NodeID{f.PinNode(dst)})
 	if !spt.Reachable(f.PinNode(dst)) {
 		t.Fatal("cross-layer pins not connected")
 	}
@@ -68,8 +68,8 @@ func TestBounds3DAdmissible(t *testing.T) {
 	// A* across layers agrees with Dijkstra on the congestion-free metric.
 	f.BeginNet([]Pin3D{src, dst})
 	s, d := f.PinNode(src), f.PinNode(dst)
-	ref := g.DijkstraWithin(s, []graph.NodeID{d})
-	ast := g.AStar(nil, s, d, b)
+	ref := g.DijkstraWithinScratch(nil, s, []graph.NodeID{d})
+	ast := g.DijkstraWithinBounded(nil, s, []graph.NodeID{d}, b)
 	if ref.Dist[d] != ast.Dist[d] {
 		t.Fatalf("3D A* dist %v vs dijkstra %v", ast.Dist[d], ref.Dist[d])
 	}

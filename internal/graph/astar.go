@@ -2,127 +2,43 @@ package graph
 
 import "fpgarouter/internal/faultpoint"
 
-// This file adds goal-directed shortest-path searches on top of the CSR
-// substrate: point-to-point A* under an admissible consistent lower bound,
-// a goal-set-guided variant of DijkstraWithin, and bidirectional Dijkstra
-// for 2-pin connections. All three return exact distances for their goals;
-// they differ from plain Dijkstra only in which additional nodes get
-// settled (fewer) and, on exact floating-point ties, in which of several
-// equal-cost parents is recorded. See DESIGN.md §6 for the admissibility
-// argument and the tie-break caveat.
+// This file adds the goal-directed entry points on top of the CSR
+// substrate: a goal-set-guided variant of DijkstraWithinScratch (A* toward
+// a stop set under an admissible consistent lower bound, run by the seeded
+// search kernel) and bidirectional Dijkstra for 2-pin connections. Both
+// return exact distances for their goals; they differ from plain Dijkstra
+// only in which additional nodes get settled (fewer) and, on exact
+// floating-point ties, in which of several equal-cost parents is recorded.
+// See DESIGN.md §6 for the admissibility argument and the tie-break caveat.
 
-// AStar computes a shortest path from src to goal, expanding nodes in
-// order of Dist + b.LowerBound(·, goal). b must be admissible and
-// consistent (see Bounds); a nil b degrades to DijkstraWithin(src, {goal}).
-// A nil scratch uses the process-wide pool for the duration of the call.
-//
-// The returned SPT is exact for goal and for every settled node; all other
-// nodes read as unreachable. With a consistent bound the goal's distance is
-// bit-identical to Dijkstra's (the relaxation arithmetic is unchanged);
-// the path may differ from Dijkstra's among equal-cost alternatives.
-func (g *Graph) AStar(s *DijkstraScratch, src, goal NodeID, b Bounds) *SPT {
-	if s == nil {
-		s = AcquireScratch()
-		defer ReleaseScratch(s)
-	}
-	if b == nil {
-		return g.dijkstraWith(s, src, []NodeID{goal})
-	}
-	h := func(v NodeID) float64 { return b.LowerBound(v, goal) }
-	return g.goalDirected(s, src, []NodeID{goal}, h)
-}
-
-// DijkstraWithinBounded is DijkstraWithin guided toward the stop set by an
-// admissible consistent lower bound: nodes are expanded in order of
+// DijkstraWithinBounded is DijkstraWithinScratch guided toward the stop set
+// by an admissible consistent lower bound: nodes are expanded in order of
 // Dist + h where h(v) = b.ToSet(stop)(v), so expansion concentrates around
 // the stop set instead of growing a full Dijkstra ball. Distances and
 // paths for stop nodes are exact; everything unsettled reads unreachable.
-// A nil b degrades to DijkstraWithin. A nil scratch uses the pool.
+// A nil b degrades to DijkstraWithinScratch, and a nil stop set settles the
+// whole graph (unguided: there is no goal to aim at). A nil scratch uses
+// the pool.
+//
+// With a single goal this is point-to-point A*: the goal's distance is
+// bit-identical to Dijkstra's (the relaxation arithmetic is unchanged);
+// the path may differ from Dijkstra's among equal-cost alternatives.
 func (g *Graph) DijkstraWithinBounded(s *DijkstraScratch, src NodeID, stop []NodeID, b Bounds) *SPT {
 	if s == nil {
 		s = AcquireScratch()
 		defer ReleaseScratch(s)
 	}
-	return g.dijkstraBoundedWith(s, src, stop, b)
-}
-
-func (g *Graph) dijkstraBoundedWith(s *DijkstraScratch, src NodeID, stop []NodeID, b Bounds) *SPT {
-	if b == nil {
-		return g.dijkstraWith(s, src, stop)
-	}
-	return g.goalDirected(s, src, stop, b.ToSet(stop))
-}
-
-// goalDirected is the shared A* core: heap keys are Dist + h, settlement
-// stops once every node of stop is settled, and unsettled state is
-// invalidated exactly like dijkstraWith's early exit. h must be admissible
-// and consistent so that each settled node's distance is final.
-func (g *Graph) goalDirected(s *DijkstraScratch, src NodeID, stop []NodeID, h func(NodeID) float64) *SPT {
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	n := g.n
-	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
-	remaining := 0
-	for _, v := range stop {
-		if s.stop[v] != ep {
-			s.stop[v] = ep
-			remaining++
-		}
-	}
-	if s.stop[src] != ep {
-		s.stop[src] = ep
-		remaining++
-	}
-	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{h(src), src})
-	s.HeapPushes++
-	for len(*q) > 0 {
-		u := q.pop().node
-		if s.done[u] == ep {
-			continue
-		}
-		s.done[u] = ep
-		s.Settled++
-		if s.stop[u] == ep {
-			remaining--
-			if remaining == 0 {
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
-			}
-		}
-		du := t.Dist[u]
-		// As in dijkstraWith, no settled check per arc: with a consistent h
-		// a settled node's distance is final, so the improvement test
-		// rejects its arcs on its own.
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			nd := du + ws[k]
-			if nd < t.Dist[to] {
-				t.Dist[to] = nd
-				t.ParentEdge[to] = as[k].ID
-				t.ParentNode[to] = u
-				q.push(pqItem{nd + h(to), to})
-				s.HeapPushes++
-			}
-		}
-	}
-	// Heap exhausted before the stop set settled: some stop nodes are
-	// unreachable. Every node ever relaxed was settled (lazy deletion left
-	// nothing pending), so settled distances are final and the rest are
-	// already Inf.
+	_, t := g.search(s, []Seed{{Node: src}}, stop, nil, goalHeuristic(b, stop), false)
 	return t
+}
+
+// goalHeuristic returns the search heuristic toward stop under b: nil (plain
+// Dijkstra) when there is no bound or no stop set to aim at.
+func goalHeuristic(b Bounds, stop []NodeID) func(NodeID) float64 {
+	if b == nil || stop == nil {
+		return nil
+	}
+	return b.ToSet(stop)
 }
 
 // BiDijkstra computes one shortest path between src and goal by growing
@@ -131,13 +47,17 @@ func (g *Graph) goalDirected(s *DijkstraScratch, src NodeID, stop []NodeID, h fu
 // (src→goal order), or ok = false if the endpoints are disconnected. For
 // src == goal it returns an empty path. A nil scratch uses the pool.
 //
+// ov may be nil; otherwise the search runs over priced effective weights
+// (base + price) and never enters blocked nodes, and neither endpoint may
+// be blocked.
+//
 // The distance is exact but its floating-point rounding can differ in the
 // last bits from a forward-only sum (the two half-path sums are folded in
 // a different order), and the returned path can differ from Dijkstra's
-// among equal-cost alternatives — the same contract as AStar, only looser
-// on the cost bits; callers needing bit-reproducibility against forward
-// search must use Dijkstra or AStar.
-func (g *Graph) BiDijkstra(s *DijkstraScratch, src, goal NodeID) (float64, []EdgeID, bool) {
+// among equal-cost alternatives — the same contract as
+// DijkstraWithinBounded, only looser on the cost bits; callers needing
+// bit-reproducibility against forward search must use the forward search.
+func (g *Graph) BiDijkstra(s *DijkstraScratch, src, goal NodeID, ov *Overlay) (float64, []EdgeID, bool) {
 	if s == nil {
 		s = AcquireScratch()
 		defer ReleaseScratch(s)
@@ -188,7 +108,13 @@ func (g *Graph) BiDijkstra(s *DijkstraScratch, src, goal NodeID) (float64, []Edg
 		for k := range as {
 			to := as[k].To
 			nd := du + ws[k]
+			if ov != nil {
+				nd += ov.price[as[k].ID]
+			}
 			if nd < mine.Dist[to] {
+				if ov != nil && ov.Blocked(to) {
+					continue
+				}
 				mine.Dist[to] = nd
 				mine.ParentEdge[to] = as[k].ID
 				mine.ParentNode[to] = u

@@ -20,8 +20,9 @@ func gridBounds(g *GridGraph) *CoordBounds {
 }
 
 // Property: on grids with random weights ≥ 1, random disables and random
-// endpoints, AStar's goal distance is bit-identical to Dijkstra's, its
-// path cost equals that distance, and it settles no more nodes.
+// endpoints, point-to-point A* (DijkstraWithinBounded toward one goal)
+// returns a goal distance bit-identical to Dijkstra's, its path cost
+// equals that distance, and it settles no more nodes.
 func TestQuickAStarExactOnGrids(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -39,8 +40,8 @@ func TestQuickAStarExactOnGrids(t *testing.T) {
 		src := NodeID(rng.Intn(g.NumNodes()))
 		goal := NodeID(rng.Intn(g.NumNodes()))
 		s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
-		ref := g.Graph.dijkstraWith(s1, src, []NodeID{goal})
-		ast := g.Graph.AStar(s2, src, goal, b)
+		ref := g.Graph.DijkstraWithinScratch(s1, src, []NodeID{goal})
+		ast := g.Graph.DijkstraWithinBounded(s2, src, []NodeID{goal}, b)
 		if ast.Dist[goal] != ref.Dist[goal] {
 			t.Logf("seed %d: A* dist %v, dijkstra %v", seed, ast.Dist[goal], ref.Dist[goal])
 			return false
@@ -63,7 +64,7 @@ func TestQuickAStarExactOnGrids(t *testing.T) {
 	}
 }
 
-// Property: DijkstraWithinBounded reports exactly DijkstraWithin's
+// Property: DijkstraWithinBounded reports exactly DijkstraWithinScratch's
 // distances on every stop node — including heavily disabled graphs where
 // parts of the stop set are unreachable — and unsettled nodes read
 // unreachable, never stale.
@@ -81,7 +82,7 @@ func TestQuickDijkstraWithinBoundedExact(t *testing.T) {
 		}
 		src := NodeID(rng.Intn(g.NumNodes()))
 		stop := RandomNet(rng, g.Graph, 1+rng.Intn(g.NumNodes()/2))
-		ref := g.Graph.DijkstraWithin(src, stop)
+		ref := g.Graph.DijkstraWithinScratch(nil, src, stop)
 		got := g.Graph.DijkstraWithinBounded(nil, src, stop, b)
 		for _, v := range stop {
 			if math.IsInf(ref.Dist[v], 1) != math.IsInf(got.Dist[v], 1) {
@@ -112,6 +113,21 @@ func TestQuickDijkstraWithinBoundedExact(t *testing.T) {
 	}
 }
 
+// A nil stop set settles the whole graph under a bound too: the guided
+// search has no goal to aim at, so it must return the full tree plain
+// Dijkstra does rather than stop after the source.
+func TestDijkstraWithinBoundedNilStopSettlesAll(t *testing.T) {
+	g := NewGrid(6, 6, 1)
+	src := g.Node(2, 3)
+	want := g.Graph.DijkstraWithinScratch(nil, src, nil)
+	got := g.Graph.DijkstraWithinBounded(nil, src, nil, gridBounds(g))
+	for v := 0; v < g.NumNodes(); v++ {
+		if got.Dist[v] != want.Dist[v] || got.ParentEdge[v] != want.ParentEdge[v] {
+			t.Fatalf("node %d: bounded (%v, %d), plain (%v, %d)", v, got.Dist[v], got.ParentEdge[v], want.Dist[v], want.ParentEdge[v])
+		}
+	}
+}
+
 // Property: BiDijkstra's cost matches Dijkstra's within floating-point
 // tolerance (the two half-sums fold in a different order), its edge path
 // is a real src→goal path of that cost, and disconnection is reported
@@ -126,8 +142,8 @@ func TestQuickBiDijkstraExact(t *testing.T) {
 		}
 		src := NodeID(rng.Intn(n))
 		goal := NodeID(rng.Intn(n))
-		ref := g.DijkstraWithin(src, []NodeID{goal})
-		cost, path, ok := g.BiDijkstra(nil, src, goal)
+		ref := g.DijkstraWithinScratch(nil, src, []NodeID{goal})
+		cost, path, ok := g.BiDijkstra(nil, src, goal, nil)
 		if ok != ref.Reachable(goal) {
 			t.Logf("seed %d: ok=%v but reachable=%v", seed, ok, ref.Reachable(goal))
 			return false
@@ -172,11 +188,11 @@ func TestBiDijkstraTrivialAndDisconnected(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 1)
 	// src == goal: empty path, zero cost.
-	if c, p, ok := g.BiDijkstra(nil, 2, 2); !ok || c != 0 || len(p) != 0 {
+	if c, p, ok := g.BiDijkstra(nil, 2, 2, nil); !ok || c != 0 || len(p) != 0 {
 		t.Fatalf("self route: %v %v %v", c, p, ok)
 	}
 	// 0 and 3 are disconnected.
-	if _, _, ok := g.BiDijkstra(nil, 0, 3); ok {
+	if _, _, ok := g.BiDijkstra(nil, 0, 3, nil); ok {
 		t.Fatal("disconnected pair reported routable")
 	}
 }
@@ -190,8 +206,8 @@ func TestAStarExpandsFewerOnOpenGrid(t *testing.T) {
 	b := gridBounds(g)
 	src, goal := g.Node(0, 0), g.Node(19, 19)
 	s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
-	ref := g.Graph.dijkstraWith(s1, src, []NodeID{goal})
-	ast := g.Graph.AStar(s2, src, goal, b)
+	ref := g.Graph.DijkstraWithinScratch(s1, src, []NodeID{goal})
+	ast := g.Graph.DijkstraWithinBounded(s2, src, []NodeID{goal}, b)
 	if ast.Dist[goal] != ref.Dist[goal] {
 		t.Fatalf("dist %v vs %v", ast.Dist[goal], ref.Dist[goal])
 	}
@@ -200,74 +216,26 @@ func TestAStarExpandsFewerOnOpenGrid(t *testing.T) {
 	}
 }
 
-// Property: LandmarkBounds lower bounds are admissible (≤ true distance)
-// and AStar under them returns exact distances, on random graphs both
-// as built and after monotone weight increases and disables — the only
-// mutations the landmark bound survives.
-func TestQuickLandmarkBoundsAdmissibleAndExact(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 5 + rng.Intn(40)
-		g := RandomConnected(rng, n, n*2, 8)
-		lm := RandomNet(rng, g, 1+rng.Intn(3))
-		b := NewLandmarkBounds(g, lm)
-		// Monotone perturbations only: weights may grow, edges may disable.
-		for i := 0; i < g.NumEdges()/6; i++ {
-			id := EdgeID(rng.Intn(g.NumEdges()))
-			g.SetWeight(id, g.Weight(id)*(1+rng.Float64()))
-		}
-		for i := 0; i < g.NumEdges()/8; i++ {
-			g.SetEnabled(EdgeID(rng.Intn(g.NumEdges())), false)
-		}
-		src := NodeID(rng.Intn(n))
-		full := g.Dijkstra(src)
-		for v := 0; v < n; v++ {
-			lb := b.LowerBound(src, NodeID(v))
-			if !math.IsInf(full.Dist[v], 1) && lb > full.Dist[v]+1e-9 {
-				t.Logf("seed %d: bound %v > dist %v for %d→%d", seed, lb, full.Dist[v], src, v)
-				return false
-			}
-		}
-		goal := NodeID(rng.Intn(n))
-		ast := g.AStar(nil, src, goal, b)
-		if math.IsInf(full.Dist[goal], 1) != math.IsInf(ast.Dist[goal], 1) {
-			return false
-		}
-		if !math.IsInf(full.Dist[goal], 1) && math.Abs(ast.Dist[goal]-full.Dist[goal]) > 1e-9 {
-			t.Logf("seed %d: A*+landmarks %v vs dijkstra %v", seed, ast.Dist[goal], full.Dist[goal])
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ToSet on a multi-goal set must lower-bound the distance to the nearest
-// goal, for both bound implementations.
+// goal.
 func TestQuickToSetAdmissible(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		w, h := 3+rng.Intn(8), 3+rng.Intn(8)
 		g := NewGrid(w, h, 1)
-		cb := gridBounds(g)
-		lmb := NewLandmarkBounds(g.Graph, RandomNet(rng, g.Graph, 2))
 		goals := RandomNet(rng, g.Graph, 1+rng.Intn(5))
-		for _, b := range []Bounds{cb, lmb} {
-			h := b.ToSet(goals)
-			for v := 0; v < g.NumNodes(); v++ {
-				best := math.Inf(1)
-				spt := g.Dijkstra(NodeID(v))
-				for _, gl := range goals {
-					if spt.Dist[gl] < best {
-						best = spt.Dist[gl]
-					}
+		toSet := gridBounds(g).ToSet(goals)
+		for v := 0; v < g.NumNodes(); v++ {
+			best := math.Inf(1)
+			spt := g.Dijkstra(NodeID(v))
+			for _, gl := range goals {
+				if spt.Dist[gl] < best {
+					best = spt.Dist[gl]
 				}
-				if hv := h(NodeID(v)); hv > best+1e-9 {
-					t.Logf("seed %d: ToSet %v > nearest-goal dist %v at node %d", seed, hv, best, v)
-					return false
-				}
+			}
+			if hv := toSet(NodeID(v)); hv > best+1e-9 {
+				t.Logf("seed %d: ToSet %v > nearest-goal dist %v at node %d", seed, hv, best, v)
+				return false
 			}
 		}
 		return true

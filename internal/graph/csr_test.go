@@ -7,13 +7,14 @@ import (
 	"testing/quick"
 )
 
-// Property: the CSR-streaming dijkstraWith is bit-identical to the
-// pre-refactor adjacency-walking loop (LegacyDijkstra) on arbitrary graph
-// states — distances, parents AND work counters, under random disables,
-// reweights and early-stop sets. This is the refactor's core contract: the
-// CSR rebuild places each node's arcs in edge-insertion order, exactly how
-// the old layout's appends ordered them, so the two loops relax the same
-// arcs in the same order with the same arithmetic.
+// Property: the CSR-streaming search kernel (through DijkstraWithinScratch)
+// is bit-identical to the pre-refactor adjacency-walking loop
+// (legacyDijkstra) on arbitrary graph states — distances, parents AND work
+// counters, under random disables, reweights and early-stop sets. This is
+// the kernel's core contract: the CSR rebuild places each node's arcs in
+// edge-insertion order, exactly how the old layout's appends ordered them,
+// so the two loops relax the same arcs in the same order with the same
+// arithmetic.
 func TestQuickCSRMatchesLegacyDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -31,8 +32,8 @@ func TestQuickCSRMatchesLegacyDijkstra(t *testing.T) {
 			stop = RandomNet(rng, g, 1+rng.Intn(n))
 		}
 		s1, s2 := NewDijkstraScratch(), NewDijkstraScratch()
-		a := g.dijkstraWith(s1, src, stop)
-		b := g.LegacyDijkstra(s2, src, stop)
+		a := g.DijkstraWithinScratch(s1, src, stop)
+		b := g.legacyDijkstra(s2, src, stop)
 		for v := 0; v < n; v++ {
 			if a.Dist[v] != b.Dist[v] || a.ParentEdge[v] != b.ParentEdge[v] || a.ParentNode[v] != b.ParentNode[v] {
 				t.Logf("seed %d: node %d: csr (%v,%v,%v) legacy (%v,%v,%v)", seed, v,

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"maps"
-
-	"fpgarouter/internal/faultpoint"
-)
+import "maps"
 
 // SPT is a single-source shortest-paths tree produced by Dijkstra.
 //
@@ -72,116 +68,26 @@ func (q *pq) pop() pqItem {
 // Ties are broken deterministically by edge insertion order, so repeated
 // runs on the same graph yield identical trees.
 func (g *Graph) Dijkstra(src NodeID) *SPT {
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
-	return g.dijkstraWith(s, src, nil)
+	return g.DijkstraWithinScratch(nil, src, nil)
 }
 
-// DijkstraWithin computes shortest paths from src but stops as soon as
-// every node of stop has been settled; nodes not settled by then are
-// reported unreachable (Dist = Inf). Distances and paths for stop nodes are
-// exact — the search is not constrained to any region, it merely terminates
-// early — so this is a pure optimization for callers that only query a
-// known node subset (the router's per-net caches).
-func (g *Graph) DijkstraWithin(src NodeID, stop []NodeID) *SPT {
-	s := AcquireScratch()
-	defer ReleaseScratch(s)
-	return g.dijkstraWith(s, src, stop)
-}
-
-// DijkstraWithinScratch is DijkstraWithin on a caller-provided scratch (nil
-// falls back to the pool): the warm-path entry for callers that manage
-// their own scratch lifetime, and the timed loop of the SSSP_CSR
-// microbenchmark (LegacyDijkstra is its baseline pair).
+// DijkstraWithinScratch computes shortest paths from src but stops as soon
+// as every node of stop (and src itself) has been settled; nodes not
+// settled by then are reported unreachable (Dist = Inf). Distances and
+// paths for stop nodes are exact — the search is not constrained to any
+// region, it merely terminates early — so this is a pure optimization for
+// callers that only query a known node subset (the router's per-net
+// caches). A nil stop set settles the whole graph.
+//
+// s is the caller's scratch (nil falls back to the pool): the warm-path
+// entry for callers that manage their own scratch lifetime, and the timed
+// loop of the SSSP_CSR microbenchmark.
 func (g *Graph) DijkstraWithinScratch(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
 	if s == nil {
 		s = AcquireScratch()
 		defer ReleaseScratch(s)
 	}
-	return g.dijkstraWith(s, src, stop)
-}
-
-// dijkstraWith is the single Dijkstra implementation: all working state
-// (heap, settled marks, stop-set marks) lives in the scratch and the
-// returned SPT comes off its free list, so a warm scratch runs without
-// allocating. A nil stop slice settles the whole graph.
-//
-// The relaxation loop streams the CSR arc and weight arrays. Disabled edges
-// carry +inf in the weight stream, so `du + arcw[i] < Dist[to]` rejects
-// them with no flag lookup; per-node arc order equals edge-insertion order
-// (see rebuildCSR), which keeps distances, parents and the heap-push/settle
-// counters bit-identical to the pre-CSR adjacency-list implementation
-// (LegacyDijkstra, retained as the parity oracle).
-func (g *Graph) dijkstraWith(s *DijkstraScratch, src NodeID, stop []NodeID) *SPT {
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	n := g.n
-	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
-	remaining := -1 // < 0: no early termination
-	if stop != nil {
-		remaining = 0
-		for _, v := range stop {
-			if s.stop[v] != ep {
-				s.stop[v] = ep
-				remaining++
-			}
-		}
-		if s.stop[src] != ep {
-			s.stop[src] = ep
-			remaining++
-		}
-	}
-	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{0, src})
-	s.HeapPushes++
-	for len(*q) > 0 {
-		it := q.pop()
-		u := it.node
-		if s.done[u] == ep {
-			continue
-		}
-		s.done[u] = ep
-		s.Settled++
-		if remaining >= 0 && s.stop[u] == ep {
-			remaining--
-			if remaining == 0 {
-				// Every requested node is settled; invalidate tentative
-				// state of unsettled nodes so they read as unreachable
-				// rather than carrying half-relaxed distances.
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
-			}
-		}
-		du := t.Dist[u]
-		// No settled check per arc: a settled node's distance is final and
-		// weights are non-negative, so nd = du + w ≥ du ≥ Dist[to] and the
-		// improvement test rejects it anyway — same pushes, same counters,
-		// one fewer random load per arc. Sub-slicing arcs/weights to the
-		// node's range lets the compiler drop the per-arc bounds checks.
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			nd := du + ws[k]
-			if nd < t.Dist[to] {
-				t.Dist[to] = nd
-				t.ParentEdge[to] = as[k].ID
-				t.ParentNode[to] = u
-				q.push(pqItem{nd, to})
-				s.HeapPushes++
-			}
-		}
-	}
+	_, t := g.search(s, []Seed{{Node: src}}, stop, nil, nil, false)
 	return t
 }
 
@@ -260,9 +166,9 @@ func NewSPTCache(g *Graph) *SPTCache {
 }
 
 // NewSPTCacheWithin returns a cache whose trees are computed with
-// DijkstraWithin(src, stop): exact for every node of stop, unreachable
-// beyond. Callers must only query distances/paths to nodes of stop (the
-// router queries a net's pins plus its Steiner-candidate pool).
+// DijkstraWithinScratch(s, src, stop): exact for every node of stop,
+// unreachable beyond. Callers must only query distances/paths to nodes of
+// stop (the router queries a net's pins plus its Steiner-candidate pool).
 func NewSPTCacheWithin(g *Graph, stop []NodeID) *SPTCache {
 	return &SPTCache{g: g, trees: make(map[NodeID]*SPT), stop: stop}
 }
@@ -276,8 +182,8 @@ func (c *SPTCache) WithScratch(s *DijkstraScratch) *SPTCache {
 
 // WithBounds guides the cache's searches with an admissible lower bound
 // (see Bounds): each miss runs DijkstraWithinBounded toward the stop set
-// instead of plain DijkstraWithin, settling fewer nodes. Requires a stop
-// set (caches without one settle the whole graph, where goal direction
+// instead of plain DijkstraWithinScratch, settling fewer nodes. Requires a
+// stop set (caches without one settle the whole graph, where goal direction
 // cannot help); b must be admissible and consistent for the current graph
 // state or distances would come out wrong.
 //
@@ -387,17 +293,7 @@ func (c *SPTCache) Tree(src NodeID) *SPT {
 		c.Runs++
 		return t
 	}
-	var t *SPT
-	switch {
-	case c.overlay != nil && c.bounds != nil && c.stop != nil:
-		t = c.g.goalDirectedOverlay(c.Scratch(), src, c.stop, c.overlay, c.bounds.ToSet(c.stop))
-	case c.overlay != nil:
-		t = c.g.dijkstraOverlayWith(c.Scratch(), src, c.stop, c.overlay)
-	case c.bounds != nil && c.stop != nil:
-		t = c.g.dijkstraBoundedWith(c.Scratch(), src, c.stop, c.bounds)
-	default:
-		t = c.g.dijkstraWith(c.Scratch(), src, c.stop)
-	}
+	_, t := c.g.search(c.Scratch(), []Seed{{Node: src}}, c.stop, c.overlay, goalHeuristic(c.bounds, c.stop), false)
 	c.trees[src] = t
 	c.Runs++
 	return t

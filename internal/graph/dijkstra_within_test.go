@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-// Property: DijkstraWithin reports exactly the same distances and path
+// Property: DijkstraWithinScratch reports exactly the same distances and path
 // costs as the full Dijkstra for every node of the stop set, and anything
 // it reports as reachable has a correct path.
 func TestQuickDijkstraWithinExactOnStopSet(t *testing.T) {
@@ -21,7 +21,7 @@ func TestQuickDijkstraWithinExactOnStopSet(t *testing.T) {
 		src := NodeID(rng.Intn(n))
 		stop := RandomNet(rng, g, 1+rng.Intn(n))
 		full := g.Dijkstra(src)
-		within := g.DijkstraWithin(src, stop)
+		within := g.DijkstraWithinScratch(nil, src, stop)
 		for _, v := range stop {
 			fd, wd := full.Dist[v], within.Dist[v]
 			if math.IsInf(fd, 1) != math.IsInf(wd, 1) {
@@ -51,7 +51,7 @@ func TestDijkstraWithinUnsettledNodesAreInf(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.AddEdge(NodeID(i), NodeID(i+1), 1)
 	}
-	spt := g.DijkstraWithin(0, []NodeID{1})
+	spt := g.DijkstraWithinScratch(nil, 0, []NodeID{1})
 	if spt.Dist[1] != 1 {
 		t.Fatalf("dist[1] = %v", spt.Dist[1])
 	}
@@ -66,7 +66,7 @@ func TestDijkstraWithinUnsettledNodesAreInf(t *testing.T) {
 func TestDijkstraWithinNilStopIsFull(t *testing.T) {
 	g := NewGrid(4, 4, 1)
 	a := g.Dijkstra(0)
-	b := g.DijkstraWithin(0, nil)
+	b := g.DijkstraWithinScratch(nil, 0, nil)
 	for v := range a.Dist {
 		if a.Dist[v] != b.Dist[v] {
 			t.Fatalf("nil stop differs at %d", v)
@@ -78,7 +78,7 @@ func TestDijkstraWithinDisconnectedStopNode(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1)
 	// Node 2 is isolated; the search must terminate and report it Inf.
-	spt := g.DijkstraWithin(0, []NodeID{1, 2})
+	spt := g.DijkstraWithinScratch(nil, 0, []NodeID{1, 2})
 	if !spt.Reachable(1) || spt.Reachable(2) {
 		t.Fatalf("dist = %v", spt.Dist)
 	}

@@ -1,7 +1,5 @@
 package graph
 
-import "fpgarouter/internal/faultpoint"
-
 // Overlay layers routing state over a frozen graph without touching it: a
 // per-edge additive price and a per-node blocked bitset. A search run under
 // an overlay sees edge id with effective weight Weight(id) + Price(id) and
@@ -62,246 +60,3 @@ func (o *Overlay) BlockedWords() []uint64 { return o.blocked }
 // LoadBlocked overwrites the blocked bitset from a template of the same
 // word length (the pathfinder's all-pins-blocked template, per net).
 func (o *Overlay) LoadBlocked(words []uint64) { copy(o.blocked, words) }
-
-// dijkstraOverlayWith is dijkstraWith under an overlay: identical control
-// flow (early stop once the stop set is settled, deterministic tie-breaks by
-// arc order), with each arc's weight read as base + price and relaxations
-// into blocked nodes skipped. The source must not be blocked.
-func (g *Graph) dijkstraOverlayWith(s *DijkstraScratch, src NodeID, stop []NodeID, ov *Overlay) *SPT {
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	n := g.n
-	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
-	remaining := -1
-	if stop != nil {
-		remaining = 0
-		for _, v := range stop {
-			if s.stop[v] != ep {
-				s.stop[v] = ep
-				remaining++
-			}
-		}
-		if s.stop[src] != ep {
-			s.stop[src] = ep
-			remaining++
-		}
-	}
-	price := ov.price
-	blocked := ov.blocked
-	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{0, src})
-	s.HeapPushes++
-	for len(*q) > 0 {
-		it := q.pop()
-		u := it.node
-		if s.done[u] == ep {
-			continue
-		}
-		s.done[u] = ep
-		s.Settled++
-		if remaining >= 0 && s.stop[u] == ep {
-			remaining--
-			if remaining == 0 {
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
-			}
-		}
-		du := t.Dist[u]
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			nd := du + ws[k] + price[as[k].ID]
-			if nd < t.Dist[to] {
-				if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
-				t.Dist[to] = nd
-				t.ParentEdge[to] = as[k].ID
-				t.ParentNode[to] = u
-				q.push(pqItem{nd, to})
-				s.HeapPushes++
-			}
-		}
-	}
-	return t
-}
-
-// goalDirectedOverlay is goalDirected under an overlay: A* toward the stop
-// set with heap keys Dist + h over priced effective weights. h must be
-// admissible and consistent for base + price (non-negative prices keep any
-// base-admissible bound valid, since effective weights only grow).
-func (g *Graph) goalDirectedOverlay(s *DijkstraScratch, src NodeID, stop []NodeID, ov *Overlay, h func(NodeID) float64) *SPT {
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	n := g.n
-	ep := s.beginRun(n)
-	t := s.acquireSPT(n, src)
-	remaining := 0
-	for _, v := range stop {
-		if s.stop[v] != ep {
-			s.stop[v] = ep
-			remaining++
-		}
-	}
-	if s.stop[src] != ep {
-		s.stop[src] = ep
-		remaining++
-	}
-	price := ov.price
-	blocked := ov.blocked
-	t.Dist[src] = 0
-	s.heap = s.heap[:0]
-	q := &s.heap
-	q.push(pqItem{h(src), src})
-	s.HeapPushes++
-	for len(*q) > 0 {
-		u := q.pop().node
-		if s.done[u] == ep {
-			continue
-		}
-		s.done[u] = ep
-		s.Settled++
-		if s.stop[u] == ep {
-			remaining--
-			if remaining == 0 {
-				for v := 0; v < n; v++ {
-					if s.done[v] != ep {
-						t.Dist[v] = inf
-						t.ParentEdge[v] = None
-						t.ParentNode[v] = None
-					}
-				}
-				return t
-			}
-		}
-		du := t.Dist[u]
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			nd := du + ws[k] + price[as[k].ID]
-			if nd < t.Dist[to] {
-				if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
-				t.Dist[to] = nd
-				t.ParentEdge[to] = as[k].ID
-				t.ParentNode[to] = u
-				q.push(pqItem{nd + h(to), to})
-				s.HeapPushes++
-			}
-		}
-	}
-	return t
-}
-
-// BiDijkstraOverlay is BiDijkstra under an overlay: a bidirectional
-// point-to-point search over priced effective weights that never enters
-// blocked nodes. Same exactness contract as BiDijkstra (the cost is exact,
-// its rounding and the chosen path may differ from a forward search on
-// floating-point ties). Neither endpoint may be blocked.
-func (g *Graph) BiDijkstraOverlay(s *DijkstraScratch, src, goal NodeID, ov *Overlay) (float64, []EdgeID, bool) {
-	if s == nil {
-		s = AcquireScratch()
-		defer ReleaseScratch(s)
-	}
-	faultpoint.Check(faultpoint.SSSPExpand)
-	g.ensureCSR()
-	if src == goal {
-		return 0, []EdgeID{}, true
-	}
-	n := g.n
-	ep := s.beginRun(n)
-	tf := s.acquireSPT(n, src)
-	tb := s.acquireSPT(n, goal)
-	defer func() {
-		s.RecycleSPT(tb)
-		s.RecycleSPT(tf)
-	}()
-	price := ov.price
-	blocked := ov.blocked
-	tf.Dist[src] = 0
-	tb.Dist[goal] = 0
-	s.heap = s.heap[:0]
-	s.heapB = s.heapB[:0]
-	qf, qb := &s.heap, &s.heapB
-	qf.push(pqItem{0, src})
-	qb.push(pqItem{0, goal})
-	s.HeapPushes += 2
-	best := inf
-	meet := None
-
-	expand := func(q *pq, done []uint32, mine, other *SPT) {
-		u := q.pop().node
-		if done[u] == ep {
-			return
-		}
-		done[u] = ep
-		s.Settled++
-		du := mine.Dist[u]
-		if c := du + other.Dist[u]; c < best {
-			best = c
-			meet = u
-		}
-		as := g.arcs[g.offsets[u]:g.offsets[u+1]]
-		ws := g.arcw[g.offsets[u]:g.offsets[u+1]]
-		ws = ws[:len(as)]
-		for k := range as {
-			to := as[k].To
-			nd := du + ws[k] + price[as[k].ID]
-			if nd < mine.Dist[to] {
-				if blocked[to>>6]&(1<<(uint(to)&63)) != 0 {
-					continue
-				}
-				mine.Dist[to] = nd
-				mine.ParentEdge[to] = as[k].ID
-				mine.ParentNode[to] = u
-				q.push(pqItem{nd, to})
-				s.HeapPushes++
-				if c := nd + other.Dist[to]; c < best {
-					best = c
-					meet = to
-				}
-			}
-		}
-	}
-
-	for len(*qf) > 0 || len(*qb) > 0 {
-		topF, topB := inf, inf
-		if len(*qf) > 0 {
-			topF = (*qf)[0].dist
-		}
-		if len(*qb) > 0 {
-			topB = (*qb)[0].dist
-		}
-		if topF+topB >= best {
-			break
-		}
-		if topF <= topB {
-			expand(qf, s.done, tf, tb)
-		} else {
-			expand(qb, s.doneB, tb, tf)
-		}
-	}
-	if meet == None {
-		return inf, nil, false
-	}
-	path := tf.PathTo(meet)
-	back := tb.PathTo(meet)
-	for i := len(back) - 1; i >= 0; i-- {
-		path = append(path, back[i])
-	}
-	return best, path, true
-}

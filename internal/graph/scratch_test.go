@@ -27,8 +27,8 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	s := NewDijkstraScratch()
 	for iter := 0; iter < 50; iter++ {
 		src := NodeID(rng.Intn(g.NumNodes()))
-		reused := g.dijkstraWith(s, src, nil)
-		fresh := g.dijkstraWith(NewDijkstraScratch(), src, nil)
+		reused := g.DijkstraWithinScratch(s, src, nil)
+		fresh := g.DijkstraWithinScratch(NewDijkstraScratch(), src, nil)
 		if !sptEqual(reused, fresh) {
 			t.Fatalf("iter %d: reused scratch diverged from fresh at src %d", iter, src)
 		}
@@ -43,7 +43,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 }
 
 // TestScratchStopSetMatchesFresh exercises the early-termination path
-// (DijkstraWithin semantics) through a reused scratch: stop nodes get exact
+// (DijkstraWithinScratch semantics) through a reused scratch: stop nodes get exact
 // distances, everything unsettled is Inf.
 func TestScratchStopSetMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -52,8 +52,8 @@ func TestScratchStopSetMatchesFresh(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		src := NodeID(rng.Intn(g.NumNodes()))
 		stop := RandomNet(rng, g, 5)
-		reused := g.dijkstraWith(s, src, stop)
-		fresh := g.dijkstraWith(NewDijkstraScratch(), src, stop)
+		reused := g.DijkstraWithinScratch(s, src, stop)
+		fresh := g.DijkstraWithinScratch(NewDijkstraScratch(), src, stop)
 		if !sptEqual(reused, fresh) {
 			t.Fatalf("iter %d: stop-set run diverged", iter)
 		}
@@ -74,8 +74,8 @@ func TestScratchAcrossGraphSizes(t *testing.T) {
 	s := NewDijkstraScratch()
 	for _, n := range []int{40, 120, 20, 90} {
 		g := RandomConnected(rng, n, 3*n, 5)
-		got := g.dijkstraWith(s, 0, nil)
-		want := g.dijkstraWith(NewDijkstraScratch(), 0, nil)
+		got := g.DijkstraWithinScratch(s, 0, nil)
+		want := g.DijkstraWithinScratch(NewDijkstraScratch(), 0, nil)
 		if !sptEqual(got, want) {
 			t.Fatalf("n=%d: reused scratch diverged", n)
 		}
@@ -92,14 +92,14 @@ func TestScratchEpochWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := RandomConnected(rng, 30, 120, 8)
 	s := NewDijkstraScratch()
-	first := g.dijkstraWith(s, 0, nil)
-	want := g.dijkstraWith(NewDijkstraScratch(), 0, nil)
+	first := g.DijkstraWithinScratch(s, 0, nil)
+	want := g.DijkstraWithinScratch(NewDijkstraScratch(), 0, nil)
 	if !sptEqual(first, want) {
 		t.Fatal("pre-wrap run diverged")
 	}
 	s.RecycleSPT(first)
 	s.ep = ^uint32(0) // next beginRun wraps to 0 and must clear marks
-	got := g.dijkstraWith(s, 0, nil)
+	got := g.DijkstraWithinScratch(s, 0, nil)
 	if !sptEqual(got, want) {
 		t.Fatal("post-wrap run diverged: stale epoch marks aliased")
 	}

@@ -832,7 +832,7 @@ func (e *engine) routeNet(wk *worker, idx, iter int, presFac float64) (graph.Tre
 // stays admissible under any non-negative pricing state.
 func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, scanWorkers int) (graph.Tree, error) {
 	if len(terms) == 2 && terms[0] != terms[1] {
-		_, path, ok := e.g.BiDijkstraOverlay(wk.scratch, terms[0], terms[1], wk.ov)
+		_, path, ok := e.g.BiDijkstra(wk.scratch, terms[0], terms[1], wk.ov)
 		if !ok {
 			return graph.Tree{}, steiner.ErrNoRoute
 		}

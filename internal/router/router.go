@@ -105,7 +105,7 @@ type Options struct {
 	LazyScan bool `json:"lazy_scan,omitempty"`
 	// GoalDirected turns on goal-directed shortest-path search inside the
 	// per-net caches: every cache carries the fabric's coordinate lower
-	// bound (fpga.Fabric.Bounds), so the DijkstraWithin runs behind the
+	// bound (fpga.Fabric.Bounds), so the stop-set searches behind the
 	// Steiner constructions become A* toward the net's terminal-and-pool
 	// stop set, settling strictly fewer nodes on the way; 2-pin nets
 	// short-circuit to bidirectional Dijkstra. Distances and tree costs are
@@ -491,7 +491,7 @@ const maxPool = 1024
 // restricts connection-block taps to the net's own pins, so routes cannot
 // pass through unrelated logic-block pins. Shortest-path caches terminate
 // early once the net's pins and candidate pool are settled (distances stay
-// exact; see graph.DijkstraWithin). The per-net cache is backed by the
+// exact; see graph.DijkstraWithinScratch). The per-net cache is backed by the
 // context's pooled scratch and released on return, so its SPT buffers are
 // recycled for the next net instead of feeding the garbage collector.
 func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (graph.Tree, error) {
@@ -512,7 +512,7 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 		// 2-pin net: a single point-to-point connection, which bidirectional
 		// Dijkstra finds settling roughly half the nodes of a one-sided
 		// search — no Steiner construction or candidate pool needed.
-		_, path, ok := fab.Graph().BiDijkstra(ctx.scratch, terms[0], terms[1])
+		_, path, ok := fab.Graph().BiDijkstra(ctx.scratch, terms[0], terms[1], nil)
 		if !ok {
 			return graph.Tree{}, steiner.ErrNoRoute
 		}
