@@ -369,25 +369,13 @@ func BenchmarkCandidateScan(b *testing.B) {
 }
 
 // BenchmarkMinWidthParallel measures the concurrent minimum-width search on
-// the smallest Table 2 circuit; BenchmarkMinWidthSeq is the sequential
-// reference it is guaranteed to agree with.
+// the smallest Table 2 circuit.
 func BenchmarkMinWidthParallel(b *testing.B) {
 	ckt := synthBench(b, "busc")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := router.MinWidth(ckt, 7, router.Options{MaxPasses: 6}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMinWidthSeq(b *testing.B) {
-	ckt := synthBench(b, "busc")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := router.MinWidthSeq(nil, ckt, 7, router.Options{MaxPasses: 6}); err != nil {
 			b.Fatal(err)
 		}
 	}

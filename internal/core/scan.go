@@ -229,8 +229,9 @@ func withTerm(buf *[]graph.NodeID, spanned []graph.NodeID, t graph.NodeID) []gra
 }
 
 // scan evaluates H(G, spanned ∪ {t}) for every pool candidate t not in inNS,
-// returning outcomes in pool order and accounting the work into st. The
-// returned slice is reused by the next round.
+// inline on the shared cache or sharded over the worker forks, returning
+// outcomes in pool order and accounting the work into st. The returned
+// slice is reused by the next round.
 func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]bool, pool []graph.NodeID) []scanEval {
 	s.targets = s.targets[:0]
 	for _, t := range pool {
@@ -238,14 +239,6 @@ func (s *scanner) scan(st *Stats, spanned []graph.NodeID, inNS map[graph.NodeID]
 			s.targets = append(s.targets, t)
 		}
 	}
-	return s.evaluate(st, spanned)
-}
-
-// evaluate runs H over s.targets (set by the caller), inline on the shared
-// cache or sharded over the worker forks, returning outcomes in target order.
-// The lazy scan calls this directly with queue bursts; the returned slice is
-// reused by the next evaluation.
-func (s *scanner) evaluate(st *Stats, spanned []graph.NodeID) []scanEval {
 	n := len(s.targets)
 	st.Evaluations += int64(n)
 	if cap(s.evals) < n {

@@ -102,6 +102,27 @@ func TestPrefetchFreeListsBounded(t *testing.T) {
 	}
 }
 
+// TestScanForkAccounting runs parallel scans and checks the SPTCache.Fork
+// release accounting: the scanner's worker forks each check a scratch out
+// of the process pool, and when the construction returns every scratch
+// must be checked back in — graph.LiveScratches is the leak detector.
+func TestScanForkAccounting(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := graph.RandomConnected(rng, 80, 400, 10)
+	net := graph.RandomNet(rng, g, 6)
+	before := graph.LiveScratches()
+	for i := 0; i < 3; i++ {
+		cache := graph.NewSPTCache(g)
+		if _, _, err := IGMSTStats(cache, net, steiner.KMB, Options{Workers: 8}); err != nil {
+			t.Fatal(err)
+		}
+		cache.Release()
+	}
+	if after := graph.LiveScratches(); after != before {
+		t.Fatalf("scratches leaked across parallel scans: %d live before, %d after", before, after)
+	}
+}
+
 // TestChaosScanPanicOnCallerFork: a ScanWorker panic during the terminal
 // prefetch, or during a scan round, with every shard failing — fork 0, on
 // the caller's goroutine and scratch, included — re-raises on the caller

@@ -40,11 +40,6 @@ type RouterConfig struct {
 	// per-round Steiner admission (the paper's Figure 5 template) instead
 	// of the router's default batched admission.
 	SingleStep bool
-	// LazyScan is forwarded to router.Options.LazyScan for every routing
-	// call of the sweep: the lazy-greedy candidate scan with exactness
-	// fallback (results identical on or off; only evaluation counts
-	// change). Arms under SingleStep; inert for batched admission.
-	LazyScan bool
 	// GoalDirected is forwarded to router.Options.GoalDirected: A* toward
 	// each net's stop set under the fabric's coordinate lower bound, and
 	// bidirectional Dijkstra for 2-pin nets. Costs stay exact; among
@@ -114,7 +109,6 @@ func minWidthFor(spec circuits.Spec, alg string, cfg RouterConfig) (WidthRow, er
 		MaxPasses:          cfg.MaxPasses,
 		CandidateWorkers:   cfg.CandidateWorkers,
 		SingleStep:         cfg.SingleStep,
-		LazyScan:           cfg.LazyScan,
 		GoalDirected:       cfg.GoalDirected,
 		Parallel:           cfg.Parallel,
 		NetWorkers:         cfg.NetWorkers,
@@ -278,7 +272,7 @@ func Table5(cfg RouterConfig) ([]Table5Row, error) {
 			results = map[string]*router.Result{}
 			for _, alg := range algs {
 				progress("table 5: %s at width %d with %s", spec.Name, width, alg)
-				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, LazyScan: cfg.LazyScan, GoalDirected: cfg.GoalDirected, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers, IncrementalReroute: cfg.IncrementalReroute})
+				res, err := router.RouteContext(cfg.Ctx, ctx, ckt, width, router.Options{Algorithm: alg, MaxPasses: cfg.MaxPasses, CandidateWorkers: cfg.CandidateWorkers, SingleStep: cfg.SingleStep, GoalDirected: cfg.GoalDirected, Parallel: cfg.Parallel, NetWorkers: cfg.NetWorkers, IncrementalReroute: cfg.IncrementalReroute})
 				if err != nil {
 					if errors.Is(err, router.ErrUnroutable) {
 						break

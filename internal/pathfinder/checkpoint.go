@@ -137,6 +137,20 @@ func (e *engine) restore(ck *Checkpoint, res *Result) error {
 	case len(ck.History) != ck.Iteration:
 		return fmt.Errorf("pathfinder: checkpoint history has %d entries for %d iterations", len(ck.History), ck.Iteration)
 	}
+	// Range-check every index the resumed run will dereference, so a
+	// corrupt checkpoint is rejected instead of panicking mid-restore.
+	for i, t := range ck.Trees {
+		for _, id := range t.Edges {
+			if id < 0 || int(id) >= len(e.edgeRes) {
+				return fmt.Errorf("pathfinder: checkpoint tree %d has edge %d, fabric has %d edges", i, id, len(e.edgeRes))
+			}
+		}
+	}
+	for _, n := range ck.Reroute {
+		if n < 0 || int(n) >= len(e.nets) {
+			return fmt.Errorf("pathfinder: checkpoint reroutes net %d, run has %d nets", n, len(e.nets))
+		}
+	}
 	copy(e.hist, ck.Hist)
 	copy(e.trees, ck.Trees)
 	clear(e.usage)

@@ -3,7 +3,10 @@ package pathfinder
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
+
+	"fpgarouter/internal/graph"
 )
 
 // The checkpoint/resume parity suite: a run interrupted at ANY checkpoint
@@ -208,6 +211,50 @@ func TestCheckpointResumeGuards(t *testing.T) {
 			cfg.Resume = &ck
 			if _, err := Route(fab, ckt.Nets, cfg); err == nil {
 				t.Fatal("incompatible checkpoint resumed without error")
+			}
+		})
+	}
+}
+
+// TestCheckpointResumeRejectsBadIndices: a checkpoint whose tree edge IDs
+// or reroute entries fall outside the run's fabric and net list — as a
+// corrupt store blob would — is rejected with an error, never a panic.
+func TestCheckpointResumeRejectsBadIndices(t *testing.T) {
+	spec := specNamed(t, "term1")
+	cks, _ := captureAll(t, Config{Workers: 1, Seed: 7})
+	base := cks[0]
+	tree := slices.IndexFunc(base.Trees, func(tr graph.Tree) bool { return len(tr.Edges) > 0 })
+	if tree < 0 || len(base.Reroute) == 0 {
+		t.Fatal("fixture checkpoint has no tree edge or no reroute entry to corrupt")
+	}
+	setEdge := func(id graph.EdgeID) func(*Checkpoint) {
+		return func(ck *Checkpoint) {
+			ck.Trees = slices.Clone(ck.Trees)
+			ck.Trees[tree].Edges = slices.Clone(ck.Trees[tree].Edges)
+			ck.Trees[tree].Edges[0] = id
+		}
+	}
+	setReroute := func(n int32) func(*Checkpoint) {
+		return func(ck *Checkpoint) {
+			ck.Reroute = slices.Clone(ck.Reroute)
+			ck.Reroute[0] = n
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Checkpoint)
+	}{
+		{"edge-too-large", setEdge(1 << 30)},
+		{"edge-negative", setEdge(-1)},
+		{"reroute-too-large", setReroute(1 << 30)},
+		{"reroute-negative", setReroute(-1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := *base
+			tc.mutate(&ck)
+			fab, ckt := synth(t, spec, spec.PaperIKMB)
+			if _, err := Route(fab, ckt.Nets, Config{Workers: 1, Seed: 7, Resume: &ck}); err == nil {
+				t.Fatal("corrupt checkpoint resumed without error")
 			}
 		})
 	}

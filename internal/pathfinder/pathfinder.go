@@ -83,8 +83,6 @@ type Config struct {
 	MaxPool int
 	// SingleStep forces one-candidate-per-round admission in IKMB.
 	SingleStep bool
-	// Lazy enables the lazy-greedy candidate scan inside IKMB.
-	Lazy bool
 	// HistStep is the sub-gradient step: every iteration adds
 	// HistStep·(usage−1) to each overflowed resource's history price.
 	HistStep float64
@@ -857,10 +855,8 @@ func (e *engine) construct(wk *worker, terms []graph.NodeID, pins []fpga.Pin, sc
 		Candidates: pool,
 		Batched:    !e.cfg.SingleStep,
 		Workers:    scanWorkers,
-		Lazy:       e.cfg.Lazy,
 	})
 	e.cfg.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
-	e.cfg.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 	e.cfg.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
 	// Pooled scan forks run Dijkstra on their own scratches, invisible to
 	// the worker scratch's deltas that releaseWorkers records.

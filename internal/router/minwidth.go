@@ -4,7 +4,8 @@
 // circuit at one candidate width on an independently built fabric with its
 // own child context — but examines probe outcomes strictly in the order the
 // sequential search would have visited them, so the returned width, Result
-// and error are bit-identical to MinWidthSeq at every WidthProbes setting.
+// and error are bit-identical to the one-probe-at-a-time search (the test
+// oracle minWidthSeq) at every WidthProbes setting.
 package router
 
 import (
@@ -209,54 +210,6 @@ grow:
 		if stop {
 			break
 		}
-	}
-	return w, lastGood, nil
-}
-
-// MinWidthSeq is the strictly sequential reference implementation of the
-// minimum-width search: one Route call at a time, growing then shrinking by
-// single widths. MinWidth is guaranteed to return identical results; this
-// version exists for regression tests and benchmarks of the parallel search.
-func MinWidthSeq(ctx *Context, ckt *circuits.Circuit, start int, opts Options) (int, *Result, error) {
-	ctx, done := ensureContext(ctx)
-	defer done()
-	if start < 1 {
-		start = 4
-	}
-	w := start
-	var lastGood *Result
-	// Grow until routable.
-	for {
-		ctx.Stats.AddWidthProbe()
-		res, err := RouteCtx(ctx, ckt, w, opts)
-		if err == nil {
-			lastGood = res
-			break
-		}
-		if !errors.Is(err, ErrUnroutable) {
-			return 0, nil, err
-		}
-		w++
-		if w > 4*start+64 {
-			return 0, nil, fmt.Errorf("router: %s unroutable up to width %d", ckt.Name, w)
-		}
-	}
-	// Shrink while routable. As in MinWidthCtx, cancellation mid-shrink
-	// returns the best feasible width found so far alongside the error.
-	for w > 1 {
-		ctx.Stats.AddWidthProbe()
-		res, err := RouteCtx(ctx, ckt, w-1, opts)
-		if err != nil {
-			if errors.Is(err, ErrUnroutable) {
-				break
-			}
-			if errors.Is(err, ErrCanceled) {
-				return w, lastGood, err
-			}
-			return 0, nil, err
-		}
-		w--
-		lastGood = res
 	}
 	return w, lastGood, nil
 }

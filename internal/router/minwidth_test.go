@@ -1,6 +1,8 @@
 package router
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -62,7 +64,7 @@ func TestMinWidthParallelMatchesSequential(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ckt := synth(t, tinySpec(tc.series), tc.seed)
-			wSeq, resSeq, errSeq := MinWidthSeq(nil, ckt, tc.start, tc.opts)
+			wSeq, resSeq, errSeq := minWidthSeq(nil, ckt, tc.start, tc.opts)
 			for _, probes := range []int{0, 1, 3} {
 				opts := tc.opts
 				opts.WidthProbes = probes
@@ -93,7 +95,7 @@ func TestMinWidthHardStartParity(t *testing.T) {
 	}
 	ckt := synth(t, tinySpec(circuits.Series4000), 3)
 	opts := Options{MaxPasses: 1, NoMoveToFront: true}
-	wSeq, _, errSeq := MinWidthSeq(nil, ckt, 1, opts)
+	wSeq, _, errSeq := minWidthSeq(nil, ckt, 1, opts)
 	opts.WidthProbes = 4
 	wPar, _, errPar := MinWidth(ckt, 1, opts)
 	if wPar != wSeq {
@@ -125,4 +127,52 @@ func TestMinWidthCtxStats(t *testing.T) {
 	if s.WidthProbes == 0 || s.SSSPRuns == 0 || s.Passes == 0 || s.NetsRouted == 0 {
 		t.Fatalf("collector missed work: %+v", s)
 	}
+}
+
+// minWidthSeq is the strictly sequential reference implementation of the
+// minimum-width search: one Route call at a time, growing then shrinking by
+// single widths. MinWidth is guaranteed to return identical results; the
+// parity tests hold it to that.
+func minWidthSeq(ctx *Context, ckt *circuits.Circuit, start int, opts Options) (int, *Result, error) {
+	ctx, done := ensureContext(ctx)
+	defer done()
+	if start < 1 {
+		start = 4
+	}
+	w := start
+	var lastGood *Result
+	// Grow until routable.
+	for {
+		ctx.Stats.AddWidthProbe()
+		res, err := RouteCtx(ctx, ckt, w, opts)
+		if err == nil {
+			lastGood = res
+			break
+		}
+		if !errors.Is(err, ErrUnroutable) {
+			return 0, nil, err
+		}
+		w++
+		if w > 4*start+64 {
+			return 0, nil, fmt.Errorf("router: %s unroutable up to width %d", ckt.Name, w)
+		}
+	}
+	// Shrink while routable. As in MinWidthCtx, cancellation mid-shrink
+	// returns the best feasible width found so far alongside the error.
+	for w > 1 {
+		ctx.Stats.AddWidthProbe()
+		res, err := RouteCtx(ctx, ckt, w-1, opts)
+		if err != nil {
+			if errors.Is(err, ErrUnroutable) {
+				break
+			}
+			if errors.Is(err, ErrCanceled) {
+				return w, lastGood, err
+			}
+			return 0, nil, err
+		}
+		w--
+		lastGood = res
+	}
+	return w, lastGood, nil
 }

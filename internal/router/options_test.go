@@ -74,7 +74,7 @@ func TestMinWidthPreservesExplicitZeros(t *testing.T) {
 	ckt := synth(t, tinySpec(circuits.Series4000), 2)
 	opts := Options{MaxPasses: 6, CongestionAlpha: Zero, WidthProbes: 2}
 	wPar, _, errPar := MinWidth(ckt, 1, opts)
-	wSeq, _, errSeq := MinWidthSeq(nil, ckt, 1, opts)
+	wSeq, _, errSeq := minWidthSeq(nil, ckt, 1, opts)
 	if errPar != nil || errSeq != nil {
 		t.Fatalf("errors: %v / %v", errPar, errSeq)
 	}

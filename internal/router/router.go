@@ -83,26 +83,6 @@ type Options struct {
 	// tests). Combined with WidthProbes the total goroutine fan-out is the
 	// product of the two; GOMAXPROCS bounds actual parallelism.
 	CandidateWorkers int `json:"candidate_workers,omitempty"`
-	// LazyScan enables the lazy-greedy candidate scan inside the iterated
-	// constructions (core.Options.Lazy): per-candidate gains from earlier
-	// rounds are kept as a stale-priority queue and a round re-evaluates
-	// only the entries whose stale gain could still win, falling back to a
-	// full exhaustive rescan whenever a fresh gain exceeds its stale bound.
-	// Routing results are bit-identical at every CandidateWorkers setting,
-	// and identical to the exhaustive scan whenever per-candidate gains
-	// only shrink as Steiner points are admitted (asserted by the parity
-	// tests); on congestion-weighted fabrics an occasional gain jump in a
-	// skipped candidate can make the lazy route admit different — still
-	// strictly improving — Steiner points, so minimum widths and the
-	// paper's bounds hold but wirelengths can deviate by a fraction of a
-	// percent (see EXPERIMENTS.md for measurements and DESIGN.md §5 for
-	// why the fallback cannot close this gap). The evaluation saving is
-	// reported by the stats layer as lazy hits / full rescans /
-	// evaluations saved. The queue arms only
-	// under SingleStep admission — batched rounds consume the whole
-	// improving-candidate ranking, which stale bounds cannot soundly
-	// prune, so there the flag is inert.
-	LazyScan bool `json:"lazy_scan,omitempty"`
 	// GoalDirected turns on goal-directed shortest-path search inside the
 	// per-net caches: every cache carries the fabric's coordinate lower
 	// bound (fpga.Fabric.Bounds), so the stop-set searches behind the
@@ -144,9 +124,10 @@ type Options struct {
 	// NoMoveToFront disables the move-to-front reordering of failed nets
 	// (for the ordering ablation benchmark).
 	NoMoveToFront bool `json:"no_move_to_front,omitempty"`
-	// Batched selects batched Steiner-point admission inside the iterated
-	// constructions (on by default in the router for speed; set
-	// SingleStep to force one-candidate-per-round).
+	// SingleStep forces the paper's one-candidate-per-round Steiner-point
+	// admission inside the iterated constructions. The default is batched
+	// admission (core.Options.Batched), which converges in fewer scan
+	// rounds.
 	SingleStep bool `json:"single_step,omitempty"`
 	// SegLens overrides the architecture's per-track wire segment lengths
 	// (nil keeps the circuit's default, single-length channels). See
@@ -266,7 +247,7 @@ func Route(ckt *circuits.Circuit, w int, opts Options) (*Result, error) {
 // one): the context's pooled scratch is reused by every SSSP call of the
 // run and its collector, if any, receives the work counters.
 func RouteCtx(ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, error) {
-	res, _, err := RouteWithFabricCtx(ctx, ckt, w, opts)
+	res, _, err := routeWithFabric(ctx, ckt, w, opts)
 	return res, err
 }
 
@@ -288,21 +269,23 @@ func RouteContext(cc context.Context, ctx *Context, ckt *circuits.Circuit, w int
 // (with the successful pass's nets committed), for rendering and
 // utilization analysis.
 func RouteWithFabric(ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
-	return RouteWithFabricCtx(nil, ckt, w, opts)
+	return routeWithFabric(nil, ckt, w, opts)
 }
 
-// RouteWithFabricContext is RouteWithFabricCtx with cooperative
-// cancellation (see RouteContext).
+// RouteWithFabricContext is RouteWithFabric with an explicit routing context
+// (nil for an ephemeral one) and cooperative cancellation (see
+// RouteContext).
 func RouteWithFabricContext(cc context.Context, ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
 	ctx, done := ensureContext(ctx)
 	defer done()
 	restore := ctx.bind(cc)
 	defer restore()
-	return RouteWithFabricCtx(ctx, ckt, w, opts)
+	return routeWithFabric(ctx, ckt, w, opts)
 }
 
-// RouteWithFabricCtx is RouteWithFabric with an explicit routing context.
-func RouteWithFabricCtx(ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
+// routeWithFabric is RouteWithFabric with an explicit routing context; every
+// exported Route* entry point ends here.
+func routeWithFabric(ctx *Context, ckt *circuits.Circuit, w int, opts Options) (*Result, *fpga.Fabric, error) {
 	ctx, done := ensureContext(ctx)
 	defer done()
 	opts = opts.withDefaults()
@@ -531,13 +514,12 @@ func routeNet(ctx *Context, fab *fpga.Fabric, net circuits.Net, opts Options) (g
 	}
 	cache = ctx.attach(cache)
 	defer cache.Release()
-	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers, Lazy: opts.LazyScan}
+	iterOpts := core.Options{Candidates: pool, Batched: !opts.SingleStep, Workers: opts.CandidateWorkers}
 	// record forwards an iterated construction's work counters — candidate
-	// evaluations, admitted points, lazy-queue savings, and the parallel
-	// scans' wall/CPU split — to the context's collector.
+	// evaluations, admitted points, and the parallel scans' wall/CPU split
+	// — to the context's collector.
 	record := func(st core.Stats) {
 		ctx.Stats.AddCandidateWork(st.Evaluations, st.PointsChosen)
-		ctx.Stats.AddLazyScan(st.LazyHits, st.FullRescans, st.EvaluationsSaved)
 		ctx.Stats.AddScans(int64(st.ParallelScans), st.ScanWall, st.ScanCPU)
 		// Pooled scan forks run Dijkstra on their own scratches, invisible
 		// to the context scratch's counter deltas recorded by

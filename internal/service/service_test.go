@@ -142,57 +142,6 @@ func TestEndToEndMinWidthParity(t *testing.T) {
 	}
 }
 
-// TestLazyScanWireParity covers the lazy_scan knob end to end over the
-// wire: SubmitRequest embeds router.Options, so the JSON fields single_step
-// and lazy_scan must reach the worker's router, and the routed result must
-// be bit-identical to the same lazy route run in-process — plumbing
-// parity, pinning both the wire names and that the knob actually arrives.
-// (Identity against a lazy-off route is deliberately NOT asserted: on
-// busc's congestion-weighted fabric the lazy scan may admit different
-// Steiner points — see core.lazyQueue's exactness contract.)
-func TestLazyScanWireParity(t *testing.T) {
-	_, ts := harness(t, Config{Workers: 1, QueueDepth: 4})
-
-	// Raw JSON (not a struct literal) so the test also pins the wire names.
-	req := []byte(`{"mode":"route","circuit":"busc","seed":1,"width":10,
-		"options":{"max_passes":4,"single_step":true,"lazy_scan":true,"candidate_workers":1}}`)
-	resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.StatusCode)
-	}
-	final := pollUntilTerminal(t, ts.URL, st.ID, 2*time.Minute)
-	if final.State != StateDone {
-		t.Fatalf("job ended %s (%s)", final.State, final.Error)
-	}
-	var rr ResultResponse
-	if code := getJSON(t, ts.URL+"/jobs/"+st.ID+"/result", &rr); code != http.StatusOK {
-		t.Fatalf("result: HTTP %d", code)
-	}
-
-	spec, _ := circuits.SpecByName("busc")
-	ckt, err := circuits.Synthesize(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRes, err := router.Route(ckt, 10, router.Options{MaxPasses: 4, SingleStep: true, CandidateWorkers: 1, LazyScan: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := json.Marshal(rr.Result)
-	want, _ := json.Marshal(wantRes)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("lazy wire result differs from lazy direct route:\n%.200s\nvs\n%.200s", got, want)
-	}
-}
-
 // TestGoalDirectedWireParity pins the goal_directed wire name and its
 // plumbing: a route submitted with goal_directed must be bit-identical to
 // the same goal-directed route run in-process. (Identity against the

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -145,5 +146,53 @@ func TestSnapshotWritePrometheus(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestWritePrometheusFamilies pins the full sorted set of metric families
+// WritePrometheus emits, so adding or removing one is a visible diff here.
+func TestWritePrometheusFamilies(t *testing.T) {
+	var b strings.Builder
+	Snapshot{}.WritePrometheus(&b, "fpgarouter")
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			got = append(got, line)
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"# TYPE fpgarouter_candidate_evals_total counter",
+		"# TYPE fpgarouter_checkpoints_written_total counter",
+		"# TYPE fpgarouter_edges_retained_total counter",
+		"# TYPE fpgarouter_edges_ripped_total counter",
+		"# TYPE fpgarouter_heap_pushes_total counter",
+		"# TYPE fpgarouter_incremental_reroutes_total counter",
+		"# TYPE fpgarouter_job_retries_total counter",
+		"# TYPE fpgarouter_jobs_recovered_total counter",
+		"# TYPE fpgarouter_journal_append_errors_total counter",
+		"# TYPE fpgarouter_journal_replay_records_total counter",
+		"# TYPE fpgarouter_net_failures_total counter",
+		"# TYPE fpgarouter_net_time_max_seconds gauge",
+		"# TYPE fpgarouter_net_time_seconds_total counter",
+		"# TYPE fpgarouter_nets_routed_total counter",
+		"# TYPE fpgarouter_overflow_edges counter",
+		"# TYPE fpgarouter_parallel_scans_total counter",
+		"# TYPE fpgarouter_partial_results_total counter",
+		"# TYPE fpgarouter_passes_total counter",
+		"# TYPE fpgarouter_pathfinder_iterations_total counter",
+		"# TYPE fpgarouter_price_updates_total counter",
+		"# TYPE fpgarouter_reduce_edges_skipped_total counter",
+		"# TYPE fpgarouter_ripups_total counter",
+		"# TYPE fpgarouter_scan_cpu_seconds_total counter",
+		"# TYPE fpgarouter_scan_wall_seconds_total counter",
+		"# TYPE fpgarouter_span_utilization_spans counter",
+		"# TYPE fpgarouter_sssp_runs_total counter",
+		"# TYPE fpgarouter_steiner_points_total counter",
+		"# TYPE fpgarouter_width_probes_total counter",
+		"# TYPE fpgarouter_worker_panics_total counter",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("metric families changed:\ngot  %q\nwant %q", got, want)
 	}
 }
